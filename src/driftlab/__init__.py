@@ -34,7 +34,6 @@ from .simulate import (
     EnsembleResult,
     RunTrace,
     SimConfig,
-    TraceRecord,
     run,
     run_ensemble,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "RunTrace",
     "SimConfig",
     "StrategySpace",
-    "TraceRecord",
     "apply_strategy",
     "decode_strategy",
     "encode_strategy",

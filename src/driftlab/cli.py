@@ -100,6 +100,7 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
     p = np.empty((n, T, K + 1))
     jstar = np.empty((n, T), dtype=np.int32)
     ms = np.empty((n, T), dtype=np.int32)
+    q = np.empty((n, T, K))
     final = np.empty((n, K + 1))
     mean = np.zeros((T, K + 1))
     for i, path in enumerate(paths):
@@ -111,6 +112,7 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
         jstar[i] = data[:, 2].astype(np.int32)
         ms[i] = data[:, 3].astype(np.int32)
         p[i] = data[:, 4 : 5 + K]
+        q[i] = data[:, 5 + K : 5 + 2 * K]
         mean += p[i]
         final[i] = data[-1, 5 + 2 * K :]
     return EnsembleResult(
@@ -122,6 +124,7 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
         p=p,
         jstar=jstar,
         m=ms,
+        q=q,
     )
 
 
@@ -333,21 +336,23 @@ def _empirics_rows(cfg: ExperimentConfig, ens: EnsembleResult):
     )
     s_grid = list(cfg.s_sweep) or [5, 40]
     alpha, last = _beta_alpha_and_anchors(cfg, max(s_grid))
+    betas = {}  # (k, s) -> Beta1Estimate, or None on an estimation error
     for k in (0, 1) if K >= 1 else (0,):
         for s in s_grid:
             try:
-                est = estimate_beta1(ens, k=k, s=s, alpha=alpha)
+                est = betas[k, s] = estimate_beta1(ens, k=k, s=s, alpha=alpha)
                 surv = min(a.surviving for a in est.anchors)
                 rows.append([f"beta1_k{k}", k, s, est.value, est.ci_half, surv])
             except EstimationError:
+                betas[k, s] = None
                 rows.append([f"beta1_k{k}", k, s, "", "estimation-error", 0])
-    return rows, kap, gap, lp_value
+    return rows, kap, gap, lp_value, betas
 
 
 def cmd_empirics(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     ens = read_traces(cfg)
-    rows, kap, gap, lp_value = _empirics_rows(cfg, ens)
+    rows, kap, gap, lp_value, _ = _empirics_rows(cfg, ens)
     write_csv(
         out / "empirics.csv", cfg.mode,
         ["quantity", "k", "s", "value", "ci_or_note", "n"], rows,
@@ -384,7 +389,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     t = cfg.horizon
     inputs = _inputs_at(cfg, ctx, t, None)
     pqg = psi_q_gamma(inputs, ctx["pe"][:t], ctx["b_series"][:t])
-    _, _, gap, lp_value = _empirics_rows(cfg, ens)
+    _, kap, gap, _, betas = _empirics_rows(cfg, ens)
 
     rows = []
     alpha_term0 = inputs.alpha_t * float(inputs.dp_max[0]) / (t - inputs.alpha_t)
@@ -403,16 +408,11 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
              bool(gap.mean_final[k] <= b)]
         )
 
-    # queue growth invariant from the trace files
-    worst = 0.0 if K == 0 else -math.inf
+    # queue growth invariant over the loaded traces
+    worst = 0.0
     if K:
-        for path in sorted(Path(cfg.out_dir).glob("trace_run*.csv")):
-            data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
-            q = data[:, 5 + K : 5 + 2 * K]
-            capv = (np.arange(1, q.shape[0] + 1)[:, None]) * (cost.p_max[1:] - cost.c)
-            worst = max(worst, float((q - capv).max()))
-            if np.any(q < 0):
-                worst = math.inf
+        capv = np.arange(1, t + 1)[:, None] * (cost.p_max[1:] - cost.c)
+        worst = math.inf if np.any(ens.q < 0) else float((ens.q - capv).max())
     rows.append(["queue_growth_violation", "", "", worst, 0.0, cfg.mode, bool(worst <= 1e-9)])
 
     rates = error_rate(ens)
@@ -420,34 +420,32 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     warm = ens.warmup
     post = ~warm
     pe_clamped = np.minimum(ctx["pe"], 1.0)
-    viol = float((rates.per_slot - pe_clamped - 3 * ci)[post].max())
-    rows.append(["detect_error_violation", "", "", viol, 0.0, cfg.mode, bool(viol <= 1e-12)])
+    if post.any():
+        viol = float((rates.per_slot - pe_clamped - 3 * ci)[post].max())
+        rows.append(["detect_error_violation", "", "", viol, 0.0, cfg.mode,
+                     bool(viol <= 1e-12)])
+    else:
+        rows.append(["detect_error_violation", "", "", "", 0.0, cfg.mode,
+                     "no post-warmup slots"])
 
-    kap = estimate_kappa(ens)
     if kap.value is None:
         rows.append(["kappa_hat", "", "", "", LOG3, cfg.mode, kap.reason])
     else:
         rows.append(["kappa_hat", "", "", kap.value, LOG3, cfg.mode,
                      "applicable" if kap.value < LOG3 else "inapplicable"])
-    s_grid = list(cfg.s_sweep) or [5, 40]
-    alpha, _ = _beta_alpha_and_anchors(cfg, max(s_grid))
-    for k in (0, 1) if K >= 1 else (0,):
-        for s in s_grid:
-            try:
-                est = estimate_beta1(ens, k=k, s=s, alpha=alpha)
-            except EstimationError:
-                rows.append([f"beta1_k{k}_s{s}", k, s, "", "", cfg.mode,
-                             "estimation-error"])
-                continue
-            if kap.value is not None and kap.value < LOG3:
-                bb = beta_bound(s, cfg.delay, kap.value, cfg.space.F,
-                                cfg.space.states.total, K)
-                ok = est.value <= bb + 3 * est.ci_half
-                rows.append([f"beta1_k{k}_s{s}", k, s, est.value,
-                             bb + 3 * est.ci_half, cfg.mode, bool(ok)])
-            else:
-                rows.append([f"beta1_k{k}_s{s}", k, s, est.value, "", cfg.mode,
-                             "inapplicable"])
+    for (k, s), est in betas.items():
+        if est is None:
+            rows.append([f"beta1_k{k}_s{s}", k, s, "", "", cfg.mode,
+                         "estimation-error"])
+        elif kap.value is not None and kap.value < LOG3:
+            bb = beta_bound(s, cfg.delay, kap.value, cfg.space.F,
+                            cfg.space.states.total, K)
+            ok = est.value <= bb + 3 * est.ci_half
+            rows.append([f"beta1_k{k}_s{s}", k, s, est.value,
+                         bb + 3 * est.ci_half, cfg.mode, bool(ok)])
+        else:
+            rows.append([f"beta1_k{k}_s{s}", k, s, est.value, "", cfg.mode,
+                         "inapplicable"])
     write_csv(
         out / "compare.csv", cfg.mode,
         ["quantity", "k", "s", "empirical", "bound", "mode", "passed"], rows,

@@ -6,22 +6,29 @@ selects the strategy minimizing V*r_0 + sum_k Q_k r_k under the detected
 member, realizes the costs, and updates the virtual queues with the
 D-delayed penalties.
 
-A single run is strictly sequential; ensemble runs are independent with
-per-run RNG streams derived from (master seed, run index), so results do not
-depend on execution order.
+Each run is strictly sequential in t.  Runs are stepped together in blocks
+of ``RUN_BLOCK``, slot by slot, through the same public kernels (``detect``,
+``select_strategy``, ``update_queues``, ``warmup_detect``) that a single run
+uses.  Every run draws from its own RNG streams derived from (master seed,
+run index), so results do not depend on the block partition or on execution
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .distributions import CoveringSet, Schedule, nearest_member
 from .errors import ConfigurationError, DimensionError
 from .strategies import StrategySpace
+
+# Runs stepped together per block.  Per-block arrays grow with it; 16 keeps
+# the ensemble's peak memory within a few percent of one run at a time.
+RUN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class SimConfig:
             problems.append("schedule limit length does not match the state space")
         if self.covering.n_outcomes != n:
             problems.append("covering members do not match the state space")
-        for t in range(min(self.horizon, 4096)):
+        for t in range(self.horizon if callable(self.window) else 1):
             if self.w_at(t) < 1:
                 problems.append(f"window size at t={t} is {self.w_at(t)} (< 1)")
                 break
@@ -69,20 +76,6 @@ class SimConfig:
         return t <= self.D + w - 1
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One slot of a run: state, detection, choice, costs, queue after update."""
-
-    t: int
-    omega: int
-    jstar: int
-    warmup: bool
-    m: int
-    p: np.ndarray  # realized (p_0 ... p_K)
-    q: np.ndarray  # queue vector after the slot-t update
-    avg: np.ndarray  # running averages (1/(t+1)) sum p
-
-
 @dataclass
 class RunTrace:
     omega: np.ndarray  # (T,)
@@ -96,21 +89,6 @@ class RunTrace:
     @property
     def horizon(self) -> int:
         return self.omega.size
-
-    def record(self, t: int) -> TraceRecord:
-        return TraceRecord(
-            t=t,
-            omega=int(self.omega[t]),
-            jstar=int(self.jstar[t]),
-            warmup=bool(self.warmup[t]),
-            m=int(self.m[t]),
-            p=self.p[t],
-            q=self.q[t],
-            avg=self.avg[t],
-        )
-
-    def records(self) -> Iterator[TraceRecord]:
-        return (self.record(t) for t in range(self.horizon))
 
 
 @dataclass
@@ -134,11 +112,14 @@ class EnsembleResult:
 
 
 def update_queues(q: np.ndarray, p_delayed: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Q <- max(Q + p(t-D) - c, 0), componentwise."""
+    """Q <- max(Q + p(t-D) - c, 0), componentwise.
+
+    ``q`` and ``p_delayed`` may carry a leading run axis, shape (n, K).
+    """
     q = np.asarray(q, dtype=np.float64)
     p_delayed = np.asarray(p_delayed, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    if not (q.shape == p_delayed.shape == c.shape):
+    if q.shape != p_delayed.shape or q.shape[-1:] != c.shape:
         raise DimensionError("queue, penalty, and constraint shapes differ")
     return np.maximum(q + p_delayed - c, 0.0)
 
@@ -150,26 +131,30 @@ def lyapunov_drift(q_before: np.ndarray, q_after: np.ndarray) -> tuple[float, fl
     return lb, la, la - lb
 
 
-def select_strategy(q: np.ndarray, V: float, r_table: np.ndarray) -> int:
+def select_strategy(q: np.ndarray, V: float, r_table: np.ndarray) -> int | np.ndarray:
     """argmin_m V r_0^(m) + sum_k Q_k r_k^(m); ties go to the lowest index.
 
+    ``q`` of shape (K,) gives an int; (n, K) gives one index per run.
     Scores accumulate with elementwise ops in fixed k order so a scalar
-    rescan reproduces them bit for bit.
+    rescan reproduces them bit for bit, with or without the run axis.
     """
-    scores = V * r_table[0]
+    q = np.asarray(q, dtype=np.float64)
+    scores = np.broadcast_to(V * r_table[0], q.shape[:-1] + r_table.shape[1:])
     for k in range(r_table.shape[0] - 1):
-        scores = scores + r_table[k + 1] * q[k]
-    return int(np.argmin(scores))
+        scores = scores + r_table[k + 1] * q[..., k, None]
+    m = scores.argmin(axis=-1)
+    return int(m) if m.ndim == 0 else m
 
 
-def detect(window: Sequence[int], covering: CoveringSet) -> int:
+def detect(window: Sequence[int] | np.ndarray, covering: CoveringSet) -> int | np.ndarray:
     """Most likely member for the delayed window; ties go to the lowest index.
 
+    A window of shape (w,) gives an int; (n, w) gives one member per run.
     Members with zero mass on an observed outcome score -inf and rank last.
     """
     w = np.asarray(window, dtype=np.int64)
-    ll = covering.log_matrix[:, w].sum(axis=1)
-    return int(np.argmax(ll))
+    j = covering.log_matrix[:, w].sum(axis=-1).argmax(axis=0)
+    return int(j) if j.ndim == 0 else j
 
 
 def warmup_detect(covering: CoveringSet, rng: np.random.Generator) -> int:
@@ -189,11 +174,9 @@ class _Shared:
 
     def __init__(self, config: SimConfig):
         config.validate()
-        self.config = config
         T = config.horizon
         weights = config.schedule.weights_matrix(T)
         self.cdf = np.cumsum(weights, axis=1)
-        self.logp = config.covering.log_matrix
         self.r_tables = np.stack(
             [config.space.r_table(m) for m in config.covering.members]
         )
@@ -208,54 +191,49 @@ def _draw_states(shared: _Shared, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(idx, n - 1).astype(np.int32)
 
 
-def run(config: SimConfig, run_index: int = 0, _shared: _Shared | None = None) -> RunTrace:
-    """Execute one seeded run and return its full trace."""
-    shared = _shared if _shared is not None else _Shared(config)
-    space = config.space
+def _run_block(config: SimConfig, shared: _Shared, first: int, n: int) -> list[RunTrace]:
+    """Step runs ``first .. first+n-1`` together, slot by slot."""
+    space, covering = config.space, config.covering
     K = space.cost.n_penalties
     T, D, V = config.horizon, config.D, config.V
     c = space.cost.c
-    realized = space.realized
-    logp = shared.logp
-    r_tables = shared.r_tables
     warm = shared.warmup
 
-    rng_states, rng_warm = run_rngs(config.seed, run_index)
-    omega = _draw_states(shared, rng_states)
+    rngs = [run_rngs(config.seed, first + i) for i in range(n)]
+    omega = np.stack([_draw_states(shared, rng_states) for rng_states, _ in rngs])
 
-    jstar = np.empty(T, dtype=np.int32)
-    ms = np.empty(T, dtype=np.int32)
-    p = np.empty((T, K + 1))
-    qlog = np.empty((T, K))
-    q = np.zeros(K)
+    jstar = np.empty((n, T), dtype=np.int32)
+    ms = np.empty((n, T), dtype=np.int32)
+    p = np.empty((n, T, K + 1))
+    qlog = np.empty((n, T, K))
+    q = np.zeros((n, K))
+    no_delayed = np.zeros((n, K))
     for t in range(T):
         if warm[t]:
-            j = int(rng_warm.integers(logp.shape[0]))
+            j = np.array([warmup_detect(covering, rng_warm) for _, rng_warm in rngs])
         else:
             w = config.w_at(t)
-            ll = logp[:, omega[t - D - w + 1 : t - D + 1]].sum(axis=1)
-            j = int(np.argmax(ll))
-        rt = r_tables[j]
-        scores = V * rt[0]
-        for k in range(K):
-            scores = scores + rt[k + 1] * q[k]
-        m = int(np.argmin(scores))
-        p[t] = realized[:, m, omega[t]]
-        delayed = p[t - D, 1:] if t - D >= 0 else np.zeros(K)
-        q = np.maximum(q + delayed - c, 0.0)
-        qlog[t] = q
-        jstar[t] = j
-        ms[t] = m
-    avg = np.cumsum(p, axis=0) / np.arange(1, T + 1)[:, None]
-    return RunTrace(
-        omega=omega,
-        jstar=jstar,
-        warmup=warm.copy(),
-        m=ms,
-        p=p,
-        q=qlog,
-        avg=avg,
-    )
+            j = detect(omega[:, t - D - w + 1 : t - D + 1], covering)
+        m = np.empty(n, dtype=np.int64)
+        for member in np.unique(j):
+            group = j == member
+            m[group] = select_strategy(q[group], V, shared.r_tables[member])
+        p[:, t] = space.realized[:, m, omega[:, t]].T
+        q = update_queues(q, p[:, t - D, 1:] if t >= D else no_delayed, c)
+        qlog[:, t] = q
+        jstar[:, t] = j
+        ms[:, t] = m
+    avg = np.cumsum(p, axis=1) / np.arange(1, T + 1)[:, None]
+    return [
+        RunTrace(omega=omega[i], jstar=jstar[i], warmup=warm.copy(), m=ms[i],
+                 p=p[i], q=qlog[i], avg=avg[i])
+        for i in range(n)
+    ]
+
+
+def run(config: SimConfig, run_index: int = 0) -> RunTrace:
+    """Execute one seeded run and return its full trace."""
+    return _run_block(config, _Shared(config), run_index, 1)[0]
 
 
 def run_ensemble(
@@ -281,17 +259,18 @@ def run_ensemble(
     j_runs = np.empty((n_runs, T), dtype=np.int32) if store_runs else None
     m_runs = np.empty((n_runs, T), dtype=np.int32) if store_runs else None
     q_runs = np.empty((n_runs, T, K)) if store_runs else None
-    for i in range(n_runs):
-        tr = run(config, run_index=i, _shared=shared)
-        sum_p += tr.p
-        final[i] = tr.avg[-1]
-        if store_runs:
-            p_runs[i] = tr.p
-            j_runs[i] = tr.jstar
-            m_runs[i] = tr.m
-            q_runs[i] = tr.q
-        if on_trace is not None:
-            on_trace(i, tr)
+    for first in range(0, n_runs, RUN_BLOCK):
+        block = _run_block(config, shared, first, min(RUN_BLOCK, n_runs - first))
+        for i, tr in enumerate(block, first):
+            sum_p += tr.p
+            final[i] = tr.avg[-1]
+            if store_runs:
+                p_runs[i] = tr.p
+                j_runs[i] = tr.jstar
+                m_runs[i] = tr.m
+                q_runs[i] = tr.q
+            if on_trace is not None:
+                on_trace(i, tr)
     return EnsembleResult(
         mean_p=sum_p / n_runs,
         final_avg=final,

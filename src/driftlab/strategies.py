@@ -302,6 +302,3 @@ class StrategySpace:
                 f"{self.states.total}"
             )
 
-
-def b_t(space: StrategySpace, pi: FiniteDistribution) -> float:
-    return space.b_value(pi)

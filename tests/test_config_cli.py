@@ -166,6 +166,15 @@ class TestCli:
         # stored costs round-trip through 12-significant-digit decimal
         assert np.allclose(ens.p, direct.p, atol=1e-11)
         assert np.allclose(ens.final_avg, direct.final_avg, atol=1e-11)
+        assert np.allclose(ens.q, direct.q, atol=1e-11)
+
+    def test_compare_with_no_post_warmup_slots(self, tmp_path):
+        # horizon 30 is inside the 40-slot warmup of sensor3
+        out = str(tmp_path / "o")
+        for cmd in ("simulate", "compare"):
+            assert main([cmd, "--out", out, "--horizon", "30", "--runs", "2"]) == 0
+        rows = (tmp_path / "o" / "compare.csv").read_text().splitlines()
+        assert "detect_error_violation,,,,0,default,no post-warmup slots" in rows
 
     def test_pipeline_byte_determinism_small(self, tmp_path):
         outs = []

@@ -1,0 +1,92 @@
+"""Golden stream pins: SHA-256 digests of the integer streams (omega, jstar, m).
+
+The streams are hashed run by run as little-endian int32, so the digests
+hold across BLAS builds.  A refactor of the control loop must leave them
+unchanged; a change that alters a stream has to re-pin here and say so.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from driftlab.distributions import PiecewiseSchedule
+from driftlab.presets import sensor3_covering_and_schedule, sensor3_space
+from driftlab.simulate import RUN_BLOCK, SimConfig, run_ensemble
+
+BLOCK_CROSSING_RUNS = 18
+
+
+def _sensor3(**kw) -> SimConfig:
+    space = sensor3_space()
+    cov, sch = sensor3_covering_and_schedule(space.states)
+    values = dict(space=space, schedule=sch, covering=cov, V=20.0, D=0,
+                  window=40, horizon=120, seed=1)
+    values.update(kw)
+    return SimConfig(**values)
+
+
+def _piecewise(cfg: SimConfig) -> PiecewiseSchedule:
+    members = cfg.covering.members
+    return PiecewiseSchedule(
+        limit=members[0],
+        segments=((0, members[3]), (30, members[5]), (70, members[0])),
+    )
+
+
+def _not_prefix_window(t: int) -> int:
+    # warmup covers t <= 5, then again 50 <= t <= 60 once the window widens
+    return 5 if t < 50 else 60
+
+
+def stream_digest(cfg: SimConfig, n_runs: int) -> str:
+    h = hashlib.sha256()
+
+    def add(i, trace):
+        for a in (trace.omega, trace.jstar, trace.m):
+            h.update(np.ascontiguousarray(a, dtype="<i4").tobytes())
+
+    run_ensemble(cfg, n_runs, on_trace=add, store_runs=False)
+    return h.hexdigest()
+
+
+def _cases():
+    base = _sensor3()
+    return {
+        "sensor3-d0": (base, 3),
+        "sensor3-d2-piecewise": (
+            _sensor3(D=2, window=20, schedule=_piecewise(base), seed=7), 3,
+        ),
+        "callable-window": (
+            _sensor3(D=1, window=_not_prefix_window, horizon=130, seed=4), 3,
+        ),
+        "block-crossing": (_sensor3(horizon=60, seed=5), BLOCK_CROSSING_RUNS),
+    }
+
+
+GOLDEN = {
+    "sensor3-d0":
+        "a4ebc12e057b14a17ab322f82ce08ecd24b89cc077c7548c3bab1b3b5ccc440e",
+    "sensor3-d2-piecewise":
+        "565e3f1cd76a582644ee7344079bb63b070e74269e777d2eb3e626602c41fdd4",
+    "callable-window":
+        "1dab41bec4efc96f9eb32a7629229c9dd25313ff0aed46984c9b5df3f8623cf7",
+    "block-crossing":
+        "a4c56559f4b718b3c2659671cbb391e48b5bd3838d2b2d2653831a57aa8e1263",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stream_digest(name):
+    cfg, n_runs = _cases()[name]
+    assert stream_digest(cfg, n_runs) == GOLDEN[name]
+
+
+def test_block_crossing_case_crosses_a_block():
+    assert RUN_BLOCK < BLOCK_CROSSING_RUNS
+
+
+def test_callable_window_warmup_is_not_a_prefix():
+    cfg, _ = _cases()["callable-window"]
+    warm = cfg.warmup_mask()
+    assert not warm[6] and warm[50:61].all() and not warm[61]

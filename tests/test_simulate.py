@@ -6,6 +6,7 @@ from driftlab import ConfigurationError, CoveringSet, FiniteDistribution, statio
 from driftlab.distributions import ProductStateSpace
 from driftlab.presets import sensor3_covering_and_schedule, sensor3_space
 from driftlab.simulate import (
+    RUN_BLOCK,
     SimConfig,
     detect,
     lyapunov_drift,
@@ -230,6 +231,15 @@ class TestRun:
         with pytest.raises(ConfigurationError, match="V must be"):
             run(bad)
 
+    def test_validation_covers_every_slot_of_a_callable_window(self, sensor_cfg):
+        bad = SimConfig(
+            space=sensor_cfg.space, schedule=sensor_cfg.schedule,
+            covering=sensor_cfg.covering, V=20.0, D=0,
+            window=lambda t: 40 if t < 4096 else 0, horizon=4200, seed=0,
+        )
+        with pytest.raises(ConfigurationError, match="window size at t=4096"):
+            bad.validate()
+
     def test_delay_shifts_queue_inputs(self, sensor_cfg):
         cfg = SimConfig(
             space=sensor_cfg.space, schedule=sensor_cfg.schedule,
@@ -259,11 +269,15 @@ class TestEnsemble:
         assert np.array_equal(a.jstar, b.jstar)
 
     def test_runs_independent_of_order(self, sensor_cfg):
-        ens = run_ensemble(sensor_cfg, 4)
-        # re-simulating run 2 alone reproduces its slice
-        tr2 = run(sensor_cfg, run_index=2)
-        assert np.array_equal(ens.p[2], tr2.p)
-        assert np.array_equal(ens.jstar[2], tr2.jstar)
+        ens = run_ensemble(sensor_cfg, RUN_BLOCK + 2)
+        # re-simulating a run alone reproduces its slice, in the first block
+        # and past it
+        for i in (2, RUN_BLOCK + 1):
+            tr = run(sensor_cfg, run_index=i)
+            assert np.array_equal(ens.p[i], tr.p)
+            assert np.array_equal(ens.jstar[i], tr.jstar)
+            assert np.array_equal(ens.m[i], tr.m)
+            assert np.array_equal(ens.q[i], tr.q)
 
     def test_on_trace_streaming_and_store_off(self, sensor_cfg):
         seen = []

@@ -10,7 +10,6 @@ from driftlab.strategies import (
     PureStrategy,
     StrategySpace,
     apply_strategy,
-    b_t,
     decode_strategy,
     encode_strategy,
     strategy_count,
@@ -190,7 +189,7 @@ class TestBt:
         states = ProductStateSpace((3,))
         cost = CostModel(tables=np.ones((1, 2, 3)), c=np.zeros(0))
         space = StrategySpace(actions, states, cost)
-        assert b_t(space, FiniteDistribution.uniform(3)) == 0.0
+        assert space.b_value(FiniteDistribution.uniform(3)) == 0.0
 
     def test_penalty_at_constraint(self):
         actions = ActionModel((2,))
@@ -198,7 +197,7 @@ class TestBt:
         tables = np.ones((2, 2, 3))
         cost = CostModel(tables=tables, c=np.array([1.0]))
         space = StrategySpace(actions, states, cost)
-        assert b_t(space, FiniteDistribution.uniform(3)) == 0.0
+        assert space.b_value(FiniteDistribution.uniform(3)) == 0.0
 
     def test_binary_penalty_quarter(self):
         actions = ActionModel((2,))
@@ -207,7 +206,7 @@ class TestBt:
         tables[1, :, 1] = 1.0  # strategy-independent, 0/1 across two states
         cost = CostModel(tables=tables, c=np.array([0.0]))
         space = StrategySpace(actions, states, cost)
-        assert b_t(space, FiniteDistribution.uniform(2)) == pytest.approx(0.25)
+        assert space.b_value(FiniteDistribution.uniform(2)) == pytest.approx(0.25)
 
     def test_loose_cap(self):
         actions, states, cost = sensor_tables()
@@ -220,7 +219,7 @@ class TestBt:
         for _ in range(20):
             raw = rng.random(states.total)
             pi = FiniteDistribution(raw / raw.sum())
-            assert 0.0 <= b_t(space, pi) <= cap + 1e-12
+            assert 0.0 <= space.b_value(pi) <= cap + 1e-12
 
     def test_b_series_matches_pointwise(self):
         actions, states, cost = sensor_tables()
@@ -231,5 +230,5 @@ class TestBt:
         series = space.b_series(weights, chunk=3)
         for t in range(7):
             assert series[t] == pytest.approx(
-                b_t(space, FiniteDistribution(weights[t])), abs=1e-12
+                space.b_value(FiniteDistribution(weights[t])), abs=1e-12
             )
