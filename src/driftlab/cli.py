@@ -77,6 +77,10 @@ def trace_columns(K: int) -> list[str]:
     )
 
 
+def trace_path(out: Path, run_index: int) -> Path:
+    return out / f"trace_run{run_index:04d}.csv"
+
+
 def write_trace(path: Path, trace, mode: str) -> None:
     K = trace.q.shape[1]
     rows = (
@@ -90,13 +94,17 @@ def write_trace(path: Path, trace, mode: str) -> None:
 
 
 def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
+    """Load the traces of runs 0..cfg.runs-1; files of other runs are ignored."""
     out = Path(cfg.out_dir)
-    paths = sorted(out.glob("trace_run*.csv"))
-    if not paths:
-        raise FileNotFoundError(f"no trace files under {out} (run `simulate` first)")
+    paths = [trace_path(out, i) for i in range(cfg.runs)]
+    for path in paths:
+        if not path.is_file():
+            raise FileNotFoundError(
+                f"missing trace {path}: {cfg.runs} runs expected (run `simulate` first)"
+            )
     sim = cfg.sim()
     K = cfg.space.cost.n_penalties
-    n, T = len(paths), cfg.horizon
+    n, T = cfg.runs, cfg.horizon
     p = np.empty((n, T, K + 1))
     jstar = np.empty((n, T), dtype=np.int32)
     ms = np.empty((n, T), dtype=np.int32)
@@ -135,7 +143,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     sim = cfg.sim()
 
     def writer(i, trace):
-        write_trace(out / f"trace_run{i:04d}.csv", trace, cfg.mode)
+        write_trace(trace_path(out, i), trace, cfg.mode)
 
     ens = run_ensemble(sim, cfg.runs, on_trace=writer, store_runs=False)
     rows = (
@@ -227,12 +235,20 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
         + [f"beta_bound_s{s}" for s in s_grid]
         + ["beta_star_raw", "beta_star", "in_waiting_set"]
     )
+    # the t-grid of each (w, D) starts past its warmup, and at least at 16
+    grid = [(w, D, max(16, D + w + 2)) for w in w_grid for D in d_grid]
+    for w, D, t_min in grid:
+        if cfg.horizon < t_min:
+            raise DriftlabError(
+                f"bounds: horizon {cfg.horizon} is shorter than the {t_min} slots "
+                f"needed for D={D}, w={w} (t-grid start max(16, D+w+2))"
+            )
     rows = []
-    for w, D in ((w, D) for w in w_grid for D in d_grid):
+    for w, D, t_min in grid:
         sub = cfg.with_updates(window=w, delay=D)
         ctx = _bound_context(sub)
         ts = sorted(
-            set(np.geomspace(max(16, D + w + 2), cfg.horizon, 8)
+            set(np.geomspace(t_min, cfg.horizon, 8)
                 .astype(int).tolist()) | {cfg.horizon}
         )
         for V in v_grid:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -275,6 +276,10 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
     s_sweep = tuple(int(v) for v in sweep.get("s", defaults["s_sweep"]))
     d_sweep = tuple(int(v) for v in sweep.get("D", defaults["d_sweep"]))
 
+    finite_checks = [("V", V)] + [(f"sweep.V[{i}]", v) for i, v in enumerate(v_sweep)]
+    for name, value in finite_checks:
+        if value is not None and not math.isfinite(value):
+            errors.append(f"{name}: must be finite, got {value}")
     for name, value, low in (
         ("runs", runs, 1), ("horizon", horizon, 1), ("window", window, 1),
         ("delay", delay, 0), ("V", V, 0.0),

@@ -4,7 +4,9 @@ Per slot t the loop draws the state from the schedule, detects the active
 member from the delayed sample window (or picks uniformly during warmup),
 selects the strategy minimizing V*r_0 + sum_k Q_k r_k under the detected
 member, realizes the costs, and updates the virtual queues with the
-D-delayed penalties.
+D-delayed penalties.  Selection scans only each member's candidate
+strategies (``selection_candidates``), which always contain the full-table
+argmin.
 
 Each run is strictly sequential in t.  Runs are stepped together in blocks
 of ``RUN_BLOCK``, slot by slot, through the same public kernels (``detect``,
@@ -16,6 +18,7 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -29,6 +32,10 @@ from .strategies import StrategySpace
 # Runs stepped together per block.  Per-block arrays grow with it; 16 keeps
 # the ensemble's peak memory within a few percent of one run at a time.
 RUN_BLOCK = 16
+
+# Columns tested together by ``selection_candidates``; its boolean
+# temporaries are PRUNE_CHUNK x (candidates so far).
+PRUNE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -47,8 +54,8 @@ class SimConfig:
 
     def validate(self) -> None:
         problems = []
-        if self.V < 0:
-            problems.append(f"V must be >= 0, got {self.V}")
+        if not math.isfinite(self.V) or self.V < 0:
+            problems.append(f"V must be finite and >= 0, got {self.V}")
         if self.D < 0:
             problems.append(f"delay D must be >= 0, got {self.D}")
         if self.horizon < 1:
@@ -146,6 +153,36 @@ def select_strategy(q: np.ndarray, V: float, r_table: np.ndarray) -> int | np.nd
     return int(m) if m.ndim == 0 else m
 
 
+def selection_candidates(r_table: np.ndarray) -> np.ndarray:
+    """Ascending indices m that no lower index m' weakly dominates.
+
+    m' dominates m when r[:, m'] <= r[:, m] in every row.  For V and q finite
+    and >= 0, rounding keeps the score monotone in each r, so a dominated m
+    never beats its dominator and the lowest-index argmin of
+    ``select_strategy`` over the full table is always a candidate:
+    ``cand[select_strategy(q, V, r_table[:, cand])]`` equals
+    ``select_strategy(q, V, r_table)``.
+
+    Columns are tested a chunk at a time against the candidates found so far
+    and against lower indices inside the chunk; by transitivity this equals
+    the all-pairs test, and temporaries stay at chunk x candidates.
+    """
+    F = r_table.shape[1]
+    keep = np.empty(0, dtype=np.int64)
+    for lo in range(0, F, PRUNE_CHUNK):
+        block = r_table[:, lo : lo + PRUNE_CHUNK]
+        n = block.shape[1]
+        kept = r_table[:, keep]
+        by_kept = np.ones((n, keep.size), dtype=bool)
+        within = np.tri(n, k=-1, dtype=bool)  # [m, m'] for m' < m
+        for row, kept_row in zip(block, kept):
+            by_kept &= kept_row <= row[:, None]
+            within &= row <= row[:, None]
+        dominated = by_kept.any(axis=1) | within.any(axis=1)
+        keep = np.concatenate([keep, lo + np.flatnonzero(~dominated)])
+    return keep
+
+
 def detect(window: Sequence[int] | np.ndarray, covering: CoveringSet) -> int | np.ndarray:
     """Most likely member for the delayed window; ties go to the lowest index.
 
@@ -176,10 +213,21 @@ class _Shared:
         config.validate()
         T = config.horizon
         weights = config.schedule.weights_matrix(T)
+        uncovered = ~(config.covering.prob_matrix > 0).any(axis=0)
+        slots, outcomes = np.nonzero(weights[:, uncovered] > 0)
+        if slots.size:
+            outcome = int(np.flatnonzero(uncovered)[outcomes[0]])
+            raise ConfigurationError(
+                f"schedule gives mass to outcome {outcome} from slot {slots[0]}, "
+                "but every covering member has zero mass there"
+            )
         self.cdf = np.cumsum(weights, axis=1)
-        self.r_tables = np.stack(
-            [config.space.r_table(m) for m in config.covering.members]
-        )
+        # (candidate indices, r_table columns of those candidates) per member
+        self.candidates = []
+        for member in config.covering.members:
+            r_table = config.space.r_table(member)
+            cand = selection_candidates(r_table)
+            self.candidates.append((cand, r_table[:, cand]))
         self.warmup = config.warmup_mask()
         self.istar = config.istar
 
@@ -217,7 +265,8 @@ def _run_block(config: SimConfig, shared: _Shared, first: int, n: int) -> list[R
         m = np.empty(n, dtype=np.int64)
         for member in np.unique(j):
             group = j == member
-            m[group] = select_strategy(q[group], V, shared.r_tables[member])
+            cand, r_cand = shared.candidates[member]
+            m[group] = cand[select_strategy(q[group], V, r_cand)]
         p[:, t] = space.realized[:, m, omega[:, t]].T
         q = update_queues(q, p[:, t - D, 1:] if t >= D else no_delayed, c)
         qlog[:, t] = q

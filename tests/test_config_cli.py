@@ -6,6 +6,7 @@ import pytest
 
 from driftlab.cli import blocking_constants, fmt, main, read_traces
 from driftlab.config import ConfigError, config_from_dict, dump_preset, load_config
+from driftlab.simulate import run_ensemble
 
 
 def write_doc(tmp_path, doc, name="cfg.json"):
@@ -55,6 +56,15 @@ class TestConfig:
             assert "runs" in text and "horizon" in text and "mode" in text
         else:
             pytest.fail("expected ConfigError")
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"V": float("nan")}, "V"),
+        ({"V": float("inf")}, "V"),
+        ({"sweep": {"V": [2.0, float("inf")]}}, r"sweep\.V\[1\]"),
+    ])
+    def test_non_finite_V_rejected(self, doc, field):
+        with pytest.raises(ConfigError, match=field + ": must be finite"):
+            config_from_dict({"preset": "sensor3", **doc})
 
     def test_parse_error_reports_line(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -138,6 +148,35 @@ class TestCli:
         p = write_doc(tmp_path, {"preset": "sensor3", "Vee": 1})
         assert main(["lp", "--config", str(p)]) == 2
 
+    def test_nan_V_exit_code(self, tmp_path, capsys):
+        p = write_doc(tmp_path, {"preset": "sensor3", "V": float("nan")})
+        for cmd in ("simulate", "bounds"):
+            assert main([cmd, "--config", str(p), "--out", str(tmp_path / "o"),
+                         "--runs", "1", "--horizon", "50"]) == 2
+        assert "V: must be finite, got nan" in capsys.readouterr().err
+
+    def test_empirics_reads_only_this_run_count(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        common = ["--out", out, "--horizon", "50"]
+        assert main(["simulate", "--runs", "3", "--seed", "1"] + common) == 0
+        assert main(["simulate", "--runs", "2", "--seed", "9"] + common) == 0
+        assert main(["empirics", "--runs", "2", "--seed", "9"] + common) == 0
+        assert "runs: 2," in capsys.readouterr().out
+        cfg = config_from_dict({"preset": "sensor3", "horizon": 50, "runs": 2,
+                                "seed": 9, "out_dir": out})
+        assert np.array_equal(read_traces(cfg).m, run_ensemble(cfg.sim(), 2).m)
+        # a run count past the files on disk names the first missing trace
+        assert main(["empirics", "--runs", "4", "--seed", "9"] + common) == 3
+        assert "trace_run0003.csv" in capsys.readouterr().err
+
+    def test_bounds_horizon_shorter_than_its_grid(self, tmp_path, capsys):
+        # sensor3 sweeps w in {10, 40} with D = 0, so w = 40 needs 42 slots
+        out = str(tmp_path / "o")
+        assert main(["bounds", "--out", out, "--horizon", "30"]) == 4
+        err = capsys.readouterr().err
+        assert "horizon 30" in err and "42 slots" in err and "D=0, w=40" in err
+        assert main(["bounds", "--out", out, "--horizon", "42"]) == 0
+
     def test_mode_recorded_and_literal_labeled(self, tmp_path):
         out = str(tmp_path / "o")
         for cmd in (["simulate", "--runs", "2", "--horizon", "60"], ["bounds"],
@@ -158,8 +197,6 @@ class TestCli:
         cfg = config_from_dict({"preset": "sensor3", "horizon": 80, "runs": 3,
                                 "seed": 9, "out_dir": out})
         ens = read_traces(cfg)
-        from driftlab.simulate import run_ensemble
-
         direct = run_ensemble(cfg.sim(), 3)
         assert np.array_equal(ens.jstar, direct.jstar)
         assert np.array_equal(ens.m, direct.m)

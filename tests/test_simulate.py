@@ -1,9 +1,16 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _helpers import sensor_limit
+from driftlab import simulate
 from driftlab import ConfigurationError, CoveringSet, FiniteDistribution, stationary
-from driftlab.distributions import ProductStateSpace
+from driftlab.distributions import PiecewiseSchedule, ProductStateSpace
 from driftlab.presets import sensor3_covering_and_schedule, sensor3_space
 from driftlab.simulate import (
     RUN_BLOCK,
@@ -13,6 +20,7 @@ from driftlab.simulate import (
     run,
     run_ensemble,
     select_strategy,
+    selection_candidates,
     update_queues,
     warmup_detect,
 )
@@ -116,6 +124,49 @@ class TestSelectStrategy:
         q = np.array([5.0, 5.0, 5.0])
         scores = 20.0 * rt[0] + rt[1:].T @ q
         assert select_strategy(q, 20.0, rt) == int(np.argmin(scores))
+
+
+def naive_candidates(rt):
+    """Indices m that no m' < m weakly dominates, one column at a time."""
+    keep = [m for m in range(rt.shape[1])
+            if not np.all(rt[:, :m] <= rt[:, m, None], axis=0).any()]
+    return np.array(keep, dtype=np.int64)
+
+
+@st.composite
+def tied_selection_inputs(draw):
+    """Small integer tables with many ties, V >= 0 and queues >= 0 with zeros."""
+    rows = draw(st.integers(1, 4))
+    F = draw(st.integers(1, 30))
+    rt = draw(arrays(np.float64, (rows, F), elements=st.integers(-2, 2).map(float)))
+    n = draw(st.integers(1, 4))
+    queue_values = st.sampled_from([0.0, 0.5, 1.0, 3.0])
+    q = draw(arrays(np.float64, (n, rows - 1), elements=queue_values))
+    V = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    chunk = draw(st.integers(1, 8))
+    return rt, q, V, chunk
+
+
+class TestSelectionCandidates:
+    @given(tied_selection_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_naive_and_keeps_the_argmin(self, inputs):
+        rt, q, V, chunk = inputs
+        with mock.patch.object(simulate, "PRUNE_CHUNK", chunk):
+            cand = selection_candidates(rt)
+        assert np.array_equal(cand, naive_candidates(rt))
+        sub = rt[:, cand]
+        assert np.array_equal(cand[select_strategy(q, V, sub)], select_strategy(q, V, rt))
+        for qi in q:
+            assert cand[select_strategy(qi, V, sub)] == select_strategy(qi, V, rt)
+
+    def test_sensor3_counts_pinned(self):
+        space = sensor3_space()
+        cov, _ = sensor3_covering_and_schedule(space.states)
+        tables = [space.r_table(member) for member in cov.members]
+        cands = [selection_candidates(rt) for rt in tables]
+        assert [c.size for c in cands] == [442, 481, 509, 504, 504, 505, 512, 491]
+        assert np.array_equal(cands[0], naive_candidates(tables[0]))
 
 
 class TestQueues:
@@ -230,6 +281,34 @@ class TestRun:
         )
         with pytest.raises(ConfigurationError, match="V must be"):
             run(bad)
+
+    @pytest.mark.parametrize("V", [math.nan, math.inf])
+    def test_validation_rejects_non_finite_V(self, sensor_cfg, V):
+        bad = SimConfig(
+            space=sensor_cfg.space, schedule=sensor_cfg.schedule,
+            covering=sensor_cfg.covering, V=V, D=0, window=40,
+            horizon=10, seed=0,
+        )
+        with pytest.raises(ConfigurationError, match="V must be finite"):
+            run(bad)
+
+    def test_outcome_no_member_covers_is_rejected(self):
+        actions = ActionModel((1,))
+        states = ProductStateSpace((3,))
+        cost = CostModel(tables=np.ones((2, 1, 3)), c=np.array([1.0]))
+        limit = FiniteDistribution(np.array([0.5, 0.5, 0.0]))
+        schedule = PiecewiseSchedule(
+            limit=limit,
+            segments=((0, limit), (7, FiniteDistribution(np.array([0.4, 0.4, 0.2]))),
+                      (9, limit)),
+        )
+        cfg = SimConfig(
+            space=StrategySpace(actions, states, cost), schedule=schedule,
+            covering=tiny_covering([0.5, 0.5, 0.0], [0.4, 0.6, 0.0]),
+            V=1.0, D=0, window=2, horizon=20, seed=0,
+        )
+        with pytest.raises(ConfigurationError, match="outcome 2 from slot 7"):
+            run_ensemble(cfg, 2)
 
     def test_validation_covers_every_slot_of_a_callable_window(self, sensor_cfg):
         bad = SimConfig(
