@@ -30,6 +30,8 @@ from .guarantees import (
     beta_star,
     clamp01,
     divergence_window_series,
+    jbar_ht,
+    nonstationarity_series,
     pac_rhs,
     pe_sequence,
     psi_q_gamma,
@@ -176,37 +178,38 @@ def cmd_lp(cfg: ExperimentConfig) -> int:
     return 0 if sol.status == "optimal" else 1
 
 
-def _bound_context(cfg: ExperimentConfig):
-    """Shared series and scalars for bound evaluation at any t <= horizon."""
-    sim = cfg.sim()
-    istar = sim.istar
-    cost = cfg.space.cost
-    inst = instance_for(cfg.space, cfg.covering.members[istar])
-    gap = gap_delta(cfg.schedule.limit, cfg.covering, cost, cfg.nu)
+def _bound_context(cfg: ExperimentConfig) -> dict:
+    """The bound inputs that do not depend on the window or the delay."""
+    inst = instance_for(cfg.space, cfg.covering.members[cfg.sim().istar])
+    gap = gap_delta(cfg.schedule.limit, cfg.covering, cfg.space.cost, cfg.nu)
     grid = sorted({0.0, gap} | set(np.linspace(0.0, max(2 * gap, 0.1), 9)))
-    c_hat = lipschitz_probe(inst, grid)
+    drift, b_series = nonstationarity_series(cfg.schedule, cfg.space, cfg.horizon)
+    return dict(gap=gap, c_hat=lipschitz_probe(inst, grid), p_opt=solve_lp(inst).value,
+                drift=drift, b_series=b_series)
+
+
+def _detection_series(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(div, pe) under the window and the delay of ``cfg``."""
+    sim = cfg.sim()
     div = divergence_window_series(
-        cfg.schedule, cfg.covering, istar, cfg.horizon, cfg.delay, sim.w_at
+        cfg.schedule, cfg.covering, sim.istar, cfg.horizon, cfg.delay, sim.w_at
     )
     pe = pe_sequence(
         cfg.horizon, cfg.delay, sim.w_at, cfg.covering.zeta, div,
         cfg.covering.size, cfg.mode,
     )
-    weights = cfg.schedule.weights_matrix(cfg.horizon)
-    drift = np.abs(weights - cfg.schedule.limit.probs[None, :]).sum(axis=1)
-    b_series = cfg.space.b_series(weights)
-    return {
-        "istar": istar, "gap": gap, "c_hat": c_hat, "div": div, "pe": pe,
-        "drift": drift, "b_series": b_series, "p_opt": solve_lp(inst).value,
-    }
+    return div, pe
 
 
-def _inputs_at(cfg: ExperimentConfig, ctx: dict, t: int, kappa: float | None) -> BoundInputs:
+def _inputs_at(cfg: ExperimentConfig, ctx: dict, pe: np.ndarray, t: int,
+               kappa: float | None):
+    """``BoundInputs`` at slot t and their ``psi_q_gamma`` terms."""
     cost = cfg.space.cost
     alpha_t, u_t, v_t = blocking_constants(t)
-    jbar = float(cost.p_max.max() * (ctx["drift"][:t].mean() + cfg.covering.delta))
-    hbar = float((1 + 2 * cfg.delay) / t * ctx["b_series"][:t].sum())
-    return BoundInputs(
+    jbar, hbar = jbar_ht(
+        t, ctx["drift"], ctx["b_series"], cost.p_max, cfg.covering.delta, cfg.delay
+    )
+    inputs = BoundInputs(
         t=t, alpha_t=alpha_t, u_t=u_t, v_t=v_t, V=cfg.V, D=cfg.delay,
         lyapunov_cap=cfg.lyapunov_cap, F=cfg.space.F,
         n_outcomes=cfg.space.states.total, K=cost.n_penalties,
@@ -215,6 +218,15 @@ def _inputs_at(cfg: ExperimentConfig, ctx: dict, t: int, kappa: float | None) ->
         c=cost.c, gap=ctx["gap"], jbar=jbar, hbar=hbar, kappa=kappa,
         p_opt=ctx["p_opt"],
     )
+    return inputs, psi_q_gamma(inputs, pe[:t], ctx["b_series"][:t])
+
+
+def _unless_inapplicable(bound, *args):
+    """``bound(*args)``, or None where its preconditions fail."""
+    try:
+        return bound(*args)
+    except DriftlabError:
+        return None
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> int:
@@ -243,10 +255,18 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
                 f"bounds: horizon {cfg.horizon} is shorter than the {t_min} slots "
                 f"needed for D={D}, w={w} (t-grid start max(16, D+w+2))"
             )
+    ctx = _bound_context(cfg)
     rows = []
     for w, D, t_min in grid:
         sub = cfg.with_updates(window=w, delay=D)
-        ctx = _bound_context(sub)
+        div, pe = _detection_series(sub)
+        mixing = cfg.kappa is not None and cfg.kappa * max(D, 1) < LOG3
+        beta_vals = [
+            _unless_inapplicable(
+                beta_bound, s, D, cfg.kappa, cfg.space.F, cfg.space.states.total, K
+            ) if mixing else None
+            for s in s_grid
+        ]
         ts = sorted(
             set(np.geomspace(t_min, cfg.horizon, 8)
                 .astype(int).tolist()) | {cfg.horizon}
@@ -254,45 +274,26 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
         for V in v_grid:
             vcfg = sub.with_updates(V=V)
             for t in ts:
-                inputs = _inputs_at(vcfg, ctx, t, cfg.kappa)
-                pqg = psi_q_gamma(inputs, ctx["pe"][:t], ctx["b_series"][:t])
-                post = ctx["div"][inputs.alpha_t : t]
+                inputs, pqg = _inputs_at(vcfg, ctx, pe, t, cfg.kappa)
+                post = div[inputs.alpha_t : t]
                 finite = post[np.isfinite(post)]
                 floor = float(finite.min()) if finite.size else 0.0
                 s_raw, interval = s_t_delta(
                     t, inputs.alpha_t, cfg.covering.zeta, floor, w,
                     cfg.covering.size, cfg.mode,
                 )
-                pe_sum = float(
-                    ctx["pe"][inputs.alpha_t : min(t + 1, cfg.horizon)].sum()
-                )
+                pe_sum = float(pe[inputs.alpha_t : min(t + 1, cfg.horizon)].sum())
                 pac_raw = []
                 for k in range(K + 1):
                     # theory-side stand-ins for the running means
-                    mean_k = (
-                        ctx["p_opt"] if k == 0
-                        else float(cost.c[k - 1]) + pqg.q_up
-                    )
+                    mean_k = ctx["p_opt"] if k == 0 else float(cost.c[k - 1]) + pqg.q_up
                     eps_k = pqg.q_up + cfg.eps + (ctx["gap"] if k == 0 else 0.0)
-                    try:
-                        pac_raw.append(
-                            pac_rhs(k, eps_k, inputs, 0.0, pe_sum, mean_k, cfg.mode)
-                        )
-                    except DriftlabError:
-                        pac_raw.append(None)
+                    pac_raw.append(_unless_inapplicable(
+                        pac_rhs, k, eps_k, inputs, 0.0, pe_sum, mean_k, cfg.mode
+                    ))
                 pac_cl = [None if v is None else clamp01(v) for v in pac_raw]
-                beta_vals = [None] * len(s_grid)
                 bstar = waiting = None
-                if cfg.kappa is not None and cfg.kappa * max(D, 1) < LOG3:
-                    beta_vals = []
-                    for s in s_grid:
-                        try:
-                            beta_vals.append(
-                                beta_bound(s, D, cfg.kappa, cfg.space.F,
-                                           cfg.space.states.total, K)
-                            )
-                        except DriftlabError:
-                            beta_vals.append(None)
+                if mixing:
                     try:
                         bstar = beta_star(inputs, s_raw)[0]
                         gamma0 = min(1.0, 2.0 * bstar + 1e-6)
@@ -306,7 +307,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
                     [t, V, D, w, inputs.alpha_t, inputs.u_t, inputs.v_t,
                      cfg.covering.delta, cfg.covering.zeta, ctx["c_hat"],
                      ctx["gap"], inputs.jbar, inputs.hbar, floor,
-                     float(ctx["pe"][t - 1]), clamp01(float(ctx["pe"][t - 1])),
+                     float(pe[t - 1]), clamp01(float(pe[t - 1])),
                      s_raw, clamp01(s_raw), interval, pqg.psi, pqg.gamma_t,
                      pqg.q_up]
                     + pac_raw + pac_cl + beta_vals
@@ -317,12 +318,10 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _beta_alpha_and_anchors(cfg: ExperimentConfig, max_s: int):
-    sim = cfg.sim()
-    warm_end = int(np.flatnonzero(~sim.warmup_mask())[0]) if (~sim.warmup_mask()).any() else 0
-    last = cfg.horizon - 1 - max_s
-    alpha = max(warm_end, int(0.75 * last))
-    return alpha, last
+def _beta_alpha(warmup: np.ndarray, max_s: int) -> int:
+    post = np.flatnonzero(~warmup)
+    warm_end = int(post[0]) if post.size else 0
+    return max(warm_end, int(0.75 * (warmup.size - 1 - max_s)))
 
 
 def _empirics_rows(cfg: ExperimentConfig, ens: EnsembleResult):
@@ -351,7 +350,7 @@ def _empirics_rows(cfg: ExperimentConfig, ens: EnsembleResult):
         else ["kappa_hat", "", "", "", kap.reason, kap.pooled_slots]
     )
     s_grid = list(cfg.s_sweep) or [5, 40]
-    alpha, last = _beta_alpha_and_anchors(cfg, max(s_grid))
+    alpha = _beta_alpha(ens.warmup, max(s_grid))
     betas = {}  # (k, s) -> Beta1Estimate, or None on an estimation error
     for k in (0, 1) if K >= 1 else (0,):
         for s in s_grid:
@@ -400,29 +399,23 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     ens = read_traces(cfg)
     ctx = _bound_context(cfg)
+    _, pe = _detection_series(cfg)
     cost = cfg.space.cost
     K = cost.n_penalties
     t = cfg.horizon
-    inputs = _inputs_at(cfg, ctx, t, None)
-    pqg = psi_q_gamma(inputs, ctx["pe"][:t], ctx["b_series"][:t])
+    inputs, pqg = _inputs_at(cfg, ctx, pe, t, None)
     _, kap, gap, _, betas = _empirics_rows(cfg, ens)
 
     rows = []
-    alpha_term0 = inputs.alpha_t * float(inputs.dp_max[0]) / (t - inputs.alpha_t)
-    cost_bound = (
-        ctx["p_opt"] + (ctx["c_hat"] + 1) * ctx["gap"] + pqg.psi + alpha_term0 + cfg.eps
-    )
-    rows.append(
-        ["cost_avg", 0, "", gap.mean_final[0], cost_bound, cfg.mode,
-         bool(gap.mean_final[0] <= cost_bound)]
-    )
-    for k in range(1, K + 1):
-        alpha_term = inputs.alpha_t * float(inputs.dp_max[k]) / (t - inputs.alpha_t)
-        b = float(cost.c[k - 1]) + pqg.q_up + alpha_term + cfg.eps
-        rows.append(
-            [f"penalty_avg_p{k}", k, "", gap.mean_final[k], b, cfg.mode,
-             bool(gap.mean_final[k] <= b)]
+    for k in range(K + 1):
+        level = (
+            ctx["p_opt"] + (ctx["c_hat"] + 1) * ctx["gap"] + pqg.psi if k == 0
+            else float(cost.c[k - 1]) + pqg.q_up
         )
+        alpha_term = inputs.alpha_t * float(inputs.dp_max[k]) / (t - inputs.alpha_t)
+        b = level + alpha_term + cfg.eps
+        rows.append([f"penalty_avg_p{k}" if k else "cost_avg", k, "",
+                     gap.mean_final[k], b, cfg.mode, bool(gap.mean_final[k] <= b)])
 
     # queue growth invariant over the loaded traces
     worst = 0.0
@@ -433,11 +426,9 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
     rates = error_rate(ens)
     ci = rates.ci_half()
-    warm = ens.warmup
-    post = ~warm
-    pe_clamped = np.minimum(ctx["pe"], 1.0)
+    post = ~ens.warmup
     if post.any():
-        viol = float((rates.per_slot - pe_clamped - 3 * ci)[post].max())
+        viol = float((rates.per_slot - np.minimum(pe, 1.0) - 3 * ci)[post].max())
         rows.append(["detect_error_violation", "", "", viol, 0.0, cfg.mode,
                      bool(viol <= 1e-12)])
     else:

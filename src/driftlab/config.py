@@ -46,7 +46,12 @@ TOP_KEYS = {
     "out_dir", "nu", "lyapunov_cap", "kappa", "eps",
     "state_space", "action_space", "cost", "covering", "schedule", "sweep",
 }
-SWEEP_KEYS = {"V", "w", "s", "D"}
+SWEEP_RULES = {  # key: (element type, rule, check)
+    "V": (float, "finite and > 0", lambda v: math.isfinite(v) and v > 0),
+    "w": (int, ">= 1", lambda v: v >= 1),
+    "s": (int, ">= 1", lambda v: v >= 1),
+    "D": (int, ">= 0", lambda v: v >= 0),
+}
 COST_KEYS = {"preset", "tables", "constraints"}
 COVERING_KEYS = {"preset", "members", "delta", "alpha_delta", "beta_delta"}
 SCHEDULE_KEYS = {"preset", "kind", "rho", "start", "limit", "segments"}
@@ -108,14 +113,14 @@ def _unknown(keys, allowed, path, errors):
 
 
 def _number(doc, key, errors, path="", required=False, default=None, kind=float):
-    label = f"{path}{key}"
+    label = f"{path}[{key}]" if isinstance(key, int) else f"{path}{key}"
     if key not in doc:
         if required:
             errors.append(f"{label}: missing")
         return default
     try:
         return kind(doc[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         errors.append(f"{label}: expected a {kind.__name__}, got {doc[key]!r}")
         return default
 
@@ -270,16 +275,21 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
     if not isinstance(sweep, dict):
         errors.append("sweep: must be an object")
         sweep = {}
-    _unknown(sweep, SWEEP_KEYS, "sweep", errors)
-    v_sweep = tuple(float(v) for v in sweep.get("V", defaults["v_sweep"]))
-    w_sweep = tuple(int(v) for v in sweep.get("w", defaults["w_sweep"]))
-    s_sweep = tuple(int(v) for v in sweep.get("s", defaults["s_sweep"]))
-    d_sweep = tuple(int(v) for v in sweep.get("D", defaults["d_sweep"]))
-
-    finite_checks = [("V", V)] + [(f"sweep.V[{i}]", v) for i, v in enumerate(v_sweep)]
-    for name, value in finite_checks:
-        if value is not None and not math.isfinite(value):
-            errors.append(f"{name}: must be finite, got {value}")
+    _unknown(sweep, SWEEP_RULES, "sweep", errors)
+    sweeps = {}
+    for key, (kind, rule, ok) in SWEEP_RULES.items():
+        raw = sweep.get(key, defaults[f"{key.lower()}_sweep"])
+        if not isinstance(raw, (list, tuple)):
+            errors.append(f"sweep.{key}: expected a list, got {raw!r}")
+            raw = []
+        items = dict(enumerate(raw))
+        sweeps[f"{key.lower()}_sweep"] = vals = tuple(
+            _number(items, i, errors, f"sweep.{key}", kind=kind) for i in items
+        )
+        errors += [f"sweep.{key}[{i}]: must be {rule}, got {v}"
+                   for i, v in enumerate(vals) if v is not None and not ok(v)]
+    if V is not None and not math.isfinite(V):
+        errors.append(f"V: must be finite, got {V}")
     for name, value, low in (
         ("runs", runs, 1), ("horizon", horizon, 1), ("window", window, 1),
         ("delay", delay, 0), ("V", V, 0.0),
@@ -296,8 +306,7 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
         V=V, delay=delay, window=window, horizon=horizon, runs=runs,
         seed=seed, mode=mode, out_dir=doc.get("out_dir", "out"),
         nu=nu, lyapunov_cap=cap, eps=eps, kappa=kappa,
-        v_sweep=v_sweep, w_sweep=w_sweep, s_sweep=s_sweep, d_sweep=d_sweep,
-        preset=preset,
+        preset=preset, **sweeps,
     )
     try:
         cfg.sim().validate()

@@ -222,11 +222,17 @@ def nearest_member(
     return idx, d
 
 
+def inverse_cdf(cdf: np.ndarray, u) -> np.ndarray:
+    """Outcome of each uniform draw ``u`` under ``cdf`` (outcomes on the last
+    axis).  Draws at or above the final entry, which rounding can leave below
+    1, go to the outcome where the cdf reaches it, never to a zero-mass one."""
+    top = (cdf < cdf[..., -1:]).sum(axis=-1)  # first index holding the final entry
+    return np.minimum((cdf <= np.asarray(u)[..., None]).sum(axis=-1), top)
+
+
 def sample(dist: FiniteDistribution, rng: np.random.Generator) -> int:
     """Inverse-CDF draw over the stored outcome order; identical seed, identical draw."""
-    u = rng.random()
-    idx = int(np.searchsorted(dist.cdf, u, side="right"))
-    return min(idx, len(dist) - 1)
+    return int(inverse_cdf(dist.cdf, rng.random()))
 
 
 def window_loglik(member: FiniteDistribution, window: Sequence[int]) -> float:

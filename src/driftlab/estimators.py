@@ -42,11 +42,6 @@ class Beta1Estimate:
     anchors: tuple[AnchorEstimate, ...]
     skipped: tuple[tuple[int, int], ...]  # (anchor, surviving) below the floor
 
-    @property
-    def argmax_anchor(self) -> int:
-        best = max(self.anchors, key=lambda a: a.tv)
-        return best.t
-
 
 def _cells(values: np.ndarray) -> tuple[np.ndarray, int]:
     _, inv = np.unique(values, return_inverse=True)

@@ -145,22 +145,29 @@ def pe_sequence(
     return out
 
 
+def nonstationarity_series(schedule: Schedule, space: StrategySpace, horizon: int):
+    """Per-slot (drift, b_series) over slots 0..horizon-1: each slot's L1
+    distance from the limit distribution, and its B term."""
+    weights = schedule.weights_matrix(horizon)
+    drift = np.abs(weights - schedule.limit.probs[None, :]).sum(axis=1)
+    return drift, space.b_series(weights)
+
+
 def jbar_ht(
     t: int,
-    schedule: Schedule,
-    space: StrategySpace,
+    drift: np.ndarray,
+    b_series: np.ndarray,
+    p_max: np.ndarray,
     delta: float,
     D: int,
-) -> tuple[float, float, np.ndarray]:
-    """Non-stationarity terms: (jbar, hbar, b_series for slots 0..t-1)."""
+) -> tuple[float, float]:
+    """Non-stationarity terms (jbar, hbar) at slot t from the
+    ``nonstationarity_series``, which must cover slots 0..t-1."""
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
-    weights = schedule.weights_matrix(t)
-    drift = np.abs(weights - schedule.limit.probs[None, :]).sum(axis=1)
-    jbar = float(space.cost.p_max.max() * (drift.mean() + delta))
-    b_series = space.b_series(weights)
-    hbar = float((1 + 2 * D) / t * b_series.sum())
-    return jbar, hbar, b_series
+    jbar = float(np.max(p_max) * (drift[:t].mean() + delta))
+    hbar = float((1 + 2 * D) / t * b_series[:t].sum())
+    return jbar, hbar
 
 
 @dataclass(frozen=True)

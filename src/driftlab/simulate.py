@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import CoveringSet, Schedule, nearest_member
+from .distributions import CoveringSet, Schedule, inverse_cdf, nearest_member
 from .errors import ConfigurationError, DimensionError
 from .strategies import StrategySpace
 
@@ -233,10 +233,7 @@ class _Shared:
 
 
 def _draw_states(shared: _Shared, rng: np.random.Generator) -> np.ndarray:
-    T, n = shared.cdf.shape
-    u = rng.random(T)
-    idx = (shared.cdf <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, n - 1).astype(np.int32)
+    return inverse_cdf(shared.cdf, rng.random(shared.cdf.shape[0])).astype(np.int32)
 
 
 def _run_block(config: SimConfig, shared: _Shared, first: int, n: int) -> list[RunTrace]:

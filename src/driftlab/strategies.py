@@ -80,9 +80,6 @@ class PureStrategy:
             self, "tables", tuple(tuple(int(a) for a in t) for t in self.tables)
         )
 
-    def local_action(self, user: int, local_state: int) -> int:
-        return self.tables[user][local_state]
-
 
 def strategy_count(actions: ActionModel, states: ProductStateSpace) -> int:
     """F = prod_i |A_i|^{|Omega_i|}, guarded against unenumerable sizes."""
@@ -253,10 +250,6 @@ class StrategySpace:
 
     def apply(self, m: int, omega_id: int) -> int:
         return int(self.actions_of[m, omega_id])
-
-    def realized_costs(self, m: int, omega_id: int) -> np.ndarray:
-        """Vector (p_0, ..., p_K) realized by strategy m in joint state omega."""
-        return self.realized[:, m, omega_id].copy()
 
     def r_vector(self, m: int, lam: FiniteDistribution) -> np.ndarray:
         """Average cost/penalty vector of strategy m under distribution lam."""

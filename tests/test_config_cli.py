@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftlab import cli
 from driftlab.cli import blocking_constants, fmt, main, read_traces
 from driftlab.config import ConfigError, config_from_dict, dump_preset, load_config
 from driftlab.simulate import run_ensemble
@@ -65,6 +66,11 @@ class TestConfig:
     def test_non_finite_V_rejected(self, doc, field):
         with pytest.raises(ConfigError, match=field + ": must be finite"):
             config_from_dict({"preset": "sensor3", **doc})
+
+    def test_infinite_integer_field_named(self):
+        # int(inf) raises OverflowError, which used to escape as a traceback
+        with pytest.raises(ConfigError, match="window: expected a int, got inf"):
+            config_from_dict({"preset": "sensor3", "window": float("inf")})
 
     def test_parse_error_reports_line(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -154,6 +160,41 @@ class TestCli:
             assert main([cmd, "--config", str(p), "--out", str(tmp_path / "o"),
                          "--runs", "1", "--horizon", "50"]) == 2
         assert "V: must be finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep, field", [
+        ({"V": ["x"]}, "sweep.V[0]"),
+        ({"V": 5}, "sweep.V"),
+        ({"D": [-1]}, "sweep.D[0]"),
+        ({"w": [0]}, "sweep.w[0]"),
+        ({"s": [0]}, "sweep.s[0]"),
+    ])
+    def test_bad_sweep_entry_exit_code(self, tmp_path, capsys, sweep, field):
+        p = write_doc(tmp_path, {"preset": "sensor3", "sweep": sweep})
+        assert main(["bounds", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--horizon", "200"]) == 2
+        assert f"\n  {field}: " in capsys.readouterr().err
+
+    def test_bounds_sweep_rows_match_single_point_sweeps(self, tmp_path, monkeypatch):
+        probe = cli.lipschitz_probe
+        calls = []
+        monkeypatch.setattr(
+            cli, "lipschitz_probe", lambda *args: calls.append(1) or probe(*args)
+        )
+
+        def bounds_rows(name, w, D):
+            doc = {"preset": "sensor3", "horizon": 400, "kappa": 0.05,
+                   "sweep": {"V": [2.0, 20.0], "w": w, "D": D}}
+            p = write_doc(tmp_path, doc, f"{name}.json")
+            out = tmp_path / name
+            assert main(["bounds", "--config", str(p), "--out", str(out)]) == 0
+            return (out / "bounds.csv").read_text().splitlines()[2:]
+
+        rows = bounds_rows("all", [10, 40], [0, 1])
+        assert len(calls) == 1  # once per invocation, not once per (w, D)
+        single = [row for w in (10, 40) for D in (0, 1)
+                  for row in bounds_rows(f"w{w}_D{D}", [w], [D])]
+        assert len(calls) == 5
+        assert len(rows) == 64 and rows == single
 
     def test_empirics_reads_only_this_run_count(self, tmp_path, capsys):
         out = str(tmp_path / "o")

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from driftlab import (
     tv_distance,
     window_loglik,
 )
+from driftlab.simulate import _draw_states
 
 F = FiniteDistribution
 
@@ -200,6 +202,16 @@ class TestNearestMember:
         assert d == pytest.approx(0.2, abs=1e-15)
 
 
+class StubRng:
+    """Returns the same uniform draw every time."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
 class TestSample:
     def test_point_mass(self):
         d = F.point_mass(5, 2)
@@ -225,6 +237,19 @@ class TestSample:
         a = [sample(d, np.random.default_rng((7, i))) for i in range(20)]
         b = [sample(d, np.random.default_rng((7, i))) for i in range(20)]
         assert a == b
+
+    def test_never_draws_a_zero_mass_outcome(self):
+        # ten masses of 0.1 sum to the largest double below 1, which a uniform
+        # draw can return; such a draw goes to outcome 9, not to outcome 10
+        d = F(np.array([0.1] * 10 + [0.0]))
+        top = np.nextafter(1.0, 0.0)
+        assert d.cdf[-1] == top
+        # a second row whose last outcome has mass keeps drawing it
+        shared = SimpleNamespace(cdf=np.vstack([d.cdf, F.uniform(11).cdf]))
+        for u, want in ((0.0, 0), (0.05, 0), (0.95, 9), (top, 9)):
+            assert sample(d, StubRng(u)) == want
+            drawn = _draw_states(shared, StubRng(u))
+            assert drawn.tolist() == [want, 10 if u >= 0.95 else 0]
 
 
 class TestWindowLoglik:

@@ -16,6 +16,7 @@ from driftlab.guarantees import (
     divergence_window_series,
     jbar_ht,
     mcdiarmid_tail,
+    nonstationarity_series,
     pac_rhs,
     pe_sequence,
     pe_upper,
@@ -129,7 +130,8 @@ class TestJbarHt:
     def test_stationary_schedule(self):
         space = sensor3_space()
         sch = stationary(sensor_limit())
-        jbar, hbar, b = jbar_ht(50, sch, space, delta=0.1, D=0)
+        drift, b = nonstationarity_series(sch, space, 50)
+        jbar, hbar = jbar_ht(50, drift, b, space.cost.p_max, delta=0.1, D=0)
         assert jbar == pytest.approx(float(space.cost.p_max.max()) * 0.1)
         assert hbar == pytest.approx((1 / 50) * b.sum())
         assert np.all(b >= 0)
@@ -141,7 +143,8 @@ class TestJbarHt:
         rho = 0.9
         sch = GeometricSchedule(limit=limit, start=start, rho=rho)
         t = 60
-        jbar, _, _ = jbar_ht(t, sch, space, delta=0.0, D=0)
+        drift, b = nonstationarity_series(sch, space, t)
+        jbar, _ = jbar_ht(t, drift, b, space.cost.p_max, delta=0.0, D=0)
         l1_0 = float(np.abs(start.probs - limit.probs).sum())
         closed = l1_0 * (1 - rho**t) / (1 - rho) / t
         assert jbar == pytest.approx(float(space.cost.p_max.max()) * closed, abs=1e-9)
