@@ -42,6 +42,7 @@ from .lp import gap_delta, instance_for, lipschitz_probe, solve_lp
 from .simulate import EnsembleResult, run_ensemble
 
 THETA_EPS = 1e-12
+TRACE_CHUNK = 512  # slots formatted per write in write_trace
 
 
 def fmt(x) -> str:
@@ -83,20 +84,60 @@ def trace_path(out: Path, run_index: int) -> Path:
     return out / f"trace_run{run_index:04d}.csv"
 
 
+def _g12(values: list) -> list[str]:
+    return [f"{v:.12g}" for v in values]
+
+
+def _g12_distinct(col: np.ndarray) -> list[str]:
+    """``_g12`` of a float column, formatting each distinct value once.
+
+    Values are keyed by their bits, so 0.0 and -0.0 stay apart ("0", "-0").
+    """
+    bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+    text = _g12(bits.view(np.float64).tolist())
+    return [text[i] for i in inverse.tolist()]
+
+
 def write_trace(path: Path, trace, mode: str) -> None:
+    """``write_csv`` of one run's trace, formatted a column and a chunk at a time.
+
+    The bytes equal a row-by-row ``fmt``: ints print with ``str``, floats
+    with ``.12g``.
+    """
     K = trace.q.shape[1]
-    rows = (
-        [t, int(trace.omega[t]), int(trace.jstar[t]), int(trace.m[t])]
-        + [trace.p[t, k] for k in range(K + 1)]
-        + [trace.q[t, k] for k in range(K)]
-        + [trace.avg[t, k] for k in range(K + 1)]
-        for t in range(trace.horizon)
-    )
-    write_csv(path, mode, trace_columns(K), rows)
+    with path.open("w") as f:
+        f.write(f"# mode={mode}\n{','.join(trace_columns(K))}\n")
+        for lo in range(0, trace.horizon, TRACE_CHUNK):
+            hi = min(lo + TRACE_CHUNK, trace.horizon)
+            cols = (
+                [map(str, range(lo, hi))]
+                + [map(str, a[lo:hi].tolist())
+                   for a in (trace.omega, trace.jstar, trace.m)]
+                + [_g12_distinct(trace.p[lo:hi, k]) for k in range(K + 1)]
+                + [_g12(trace.q[lo:hi, k].tolist()) for k in range(K)]
+                + [_g12(trace.avg[lo:hi, k].tolist()) for k in range(K + 1)]
+            )
+            f.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+
+def _last_fields(path: Path) -> list[bytes]:
+    """The comma-separated fields of the last line of ``path``."""
+    with path.open("rb") as f:
+        size, back = f.seek(0, 2), 1024
+        while True:
+            f.seek(max(0, size - back))
+            lines = f.read().split()
+            if len(lines) > 1 or back >= size:
+                return lines[-1].split(b",") if lines else []
+            back *= 4
 
 
 def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
-    """Load the traces of runs 0..cfg.runs-1; files of other runs are ignored."""
+    """Load the traces of runs 0..cfg.runs-1; files of other runs are ignored.
+
+    Only the jstar, m, p and Q columns are parsed; the final averages come
+    from each file's last line.
+    """
     out = Path(cfg.out_dir)
     paths = [trace_path(out, i) for i in range(cfg.runs)]
     for path in paths:
@@ -114,17 +155,24 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
     final = np.empty((n, K + 1))
     mean = np.zeros((T, K + 1))
     for i, path in enumerate(paths):
-        data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        data = np.loadtxt(
+            path, delimiter=",", skiprows=2, ndmin=2, usecols=range(2, 5 + 2 * K)
+        )
         if data.shape[0] != T:
             raise DriftlabError(
                 f"{path}: {data.shape[0]} slots, config horizon is {T}"
             )
-        jstar[i] = data[:, 2].astype(np.int32)
-        ms[i] = data[:, 3].astype(np.int32)
-        p[i] = data[:, 4 : 5 + K]
-        q[i] = data[:, 5 + K : 5 + 2 * K]
+        fields = _last_fields(path)
+        if len(fields) != 6 + 3 * K:
+            raise DriftlabError(
+                f"{path}: last row has {len(fields)} columns, expected {6 + 3 * K}"
+            )
+        jstar[i] = data[:, 0].astype(np.int32)
+        ms[i] = data[:, 1].astype(np.int32)
+        p[i] = data[:, 2 : 3 + K]
+        q[i] = data[:, 3 + K :]
         mean += p[i]
-        final[i] = data[-1, 5 + 2 * K :]
+        final[i] = [float(v) for v in fields[5 + 2 * K :]]
     return EnsembleResult(
         mean_p=mean / n,
         final_avg=final,

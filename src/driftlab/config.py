@@ -112,6 +112,13 @@ def _unknown(keys, allowed, path, errors):
             errors.append(f"{path}: unknown key {key!r}{suffix}")
 
 
+def _as_int(value) -> int:
+    """``int(value)``, refusing True (``int`` gives 1) and 2.5 (``int`` gives 2)."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _number(doc, key, errors, path="", required=False, default=None, kind=float):
     label = f"{path}[{key}]" if isinstance(key, int) else f"{path}{key}"
     if key not in doc:
@@ -119,7 +126,7 @@ def _number(doc, key, errors, path="", required=False, default=None, kind=float)
             errors.append(f"{label}: missing")
         return default
     try:
-        return kind(doc[key])
+        return (_as_int if kind is int else kind)(doc[key])
     except (TypeError, ValueError, OverflowError):
         errors.append(f"{label}: expected a {kind.__name__}, got {doc[key]!r}")
         return default
@@ -175,7 +182,7 @@ def _build_schedule(block, errors) -> Schedule | None:
         if kind == "piecewise":
             segments = []
             for i, seg in enumerate(block.get("segments", [])):
-                start_slot = int(seg[0])
+                start_slot = _as_int(seg[0])
                 d = _dist(seg[1], f"schedule.segments[{i}]", errors)
                 if d is None:
                     return None
@@ -236,8 +243,8 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
             errors.append("cost: required unless a preset supplies it")
         else:
             try:
-                states = ProductStateSpace(tuple(int(v) for v in ss))
-                actions = ActionModel(tuple(int(v) for v in aa))
+                states = ProductStateSpace(tuple(_as_int(v) for v in ss))
+                actions = ActionModel(tuple(_as_int(v) for v in aa))
             except (ValueError, TypeError, ConfigurationError) as exc:
                 errors.append(f"state_space/action_space: {exc}")
                 states = actions = None

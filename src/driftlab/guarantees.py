@@ -117,13 +117,12 @@ def divergence_window_series(
     wrong = [j for j in range(covering.size) if j != istar]
     if not wrong:
         return out
-    for tau in range(horizon):
-        w = w_at(tau)
-        if tau <= D + w - 1:
-            continue
-        lo, hi = tau - D - w + 1, tau - D + 1
-        avg = (csum[hi] - csum[lo]) / w
-        out[tau] = np.abs(avg[wrong]).min()
+    w = np.array([w_at(tau) for tau in range(horizon)], dtype=np.int64)
+    tau = np.flatnonzero(np.arange(horizon) > D + w - 1)  # past warmup
+    hi = tau - D + 1
+    lo = hi - w[tau]
+    avg = (csum[hi] - csum[lo]) / w[tau, None]
+    out[tau] = np.abs(avg[:, wrong]).min(axis=1)
     return out
 
 

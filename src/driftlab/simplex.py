@@ -36,14 +36,10 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 def _bland_iterate(T: np.ndarray, basis: list[int], ncols: int) -> str:
     """Pivot until optimal/unbounded. Objective row is T[-1]; RHS is T[:, -1]."""
     for _ in range(ITERATION_CAP):
-        red = T[-1, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if red[j] < -PIVOT_EPS:
-                entering = j
-                break
-        if entering < 0:
+        negative = np.flatnonzero(T[-1, :ncols] < -PIVOT_EPS)
+        if not negative.size:
             return "optimal"
+        entering = int(negative[0])
         rows = T[:-1, entering]
         best_ratio, leave = None, -1
         for i in range(T.shape[0] - 1):
@@ -122,12 +118,9 @@ def solve(
         drop_rows = []
         for i in range(m):
             if basis[i] >= ncols:
-                piv = -1
-                for j in range(ncols):
-                    if abs(T[i, j]) > PIVOT_EPS:
-                        piv = j
-                        break
-                if piv >= 0:
+                nonzero = np.flatnonzero(np.abs(T[i, :ncols]) > PIVOT_EPS)
+                if nonzero.size:
+                    piv = int(nonzero[0])
                     _pivot(T, i, piv)
                     basis[i] = piv
                 else:

@@ -174,6 +174,40 @@ class TestCli:
                      "--horizon", "200"]) == 2
         assert f"\n  {field}: " in capsys.readouterr().err
 
+    def test_non_integral_integer_fields_exit_code(self, tmp_path, capsys):
+        # int() used to truncate these: window 2, horizon 10, w (12,), D (1,)
+        doc = {"preset": "sensor3", "window": 2.5, "horizon": 10.9,
+               "sweep": {"w": [12.7], "D": [True]}}
+        p = write_doc(tmp_path, doc)
+        assert main(["bounds", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        for field, value in (("window", "2.5"), ("horizon", "10.9"),
+                             ("sweep.w[0]", "12.7"), ("sweep.D[0]", "True")):
+            assert f"\n  {field}: expected a int, got {value}" in err
+
+    def test_integral_floats_still_load(self):
+        cfg = config_from_dict({"preset": "sensor3", "window": 40.0, "runs": 3.0,
+                                "sweep": {"w": [12.0], "D": [2.0]}})
+        assert (cfg.window, cfg.runs, cfg.w_sweep, cfg.d_sweep) == (40, 3, (12,), (2,))
+        assert type(cfg.window) is int and type(cfg.w_sweep[0]) is int
+
+    @pytest.mark.parametrize("key, value", [
+        ("state_space", [2.5]), ("action_space", [True]),
+    ])
+    def test_non_integral_space_sizes_rejected(self, key, value):
+        doc = {"state_space": [2], "action_space": [2],
+               "cost": {"tables": [[[1.0, 0.0], [0.0, 1.0]]]}, key: value}
+        message = "state_space/action_space: expected an integer"
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(doc)
+
+    def test_non_integral_segment_start_rejected(self):
+        uniform = [1 / 64] * 64
+        doc = {"preset": "sensor3", "schedule": {
+            "kind": "piecewise", "limit": uniform, "segments": [[0.5, uniform]]}}
+        with pytest.raises(ConfigError, match="schedule: expected an integer, got 0.5"):
+            config_from_dict(doc)
+
     def test_bounds_sweep_rows_match_single_point_sweeps(self, tmp_path, monkeypatch):
         probe = cli.lipschitz_probe
         calls = []

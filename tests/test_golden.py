@@ -1,15 +1,19 @@
-"""Golden stream pins: SHA-256 digests of the integer streams (omega, jstar, m).
+"""Golden pins: SHA-256 digests of the integer streams (omega, jstar, m)
+and of the trace CSVs that ``simulate`` writes.
 
 The streams are hashed run by run as little-endian int32, so the digests
 hold across BLAS builds.  A refactor of the control loop must leave them
 unchanged; a change that alters a stream has to re-pin here and say so.
+The CSV pins hold the writer to its bytes, ``-0`` cells included.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from driftlab.cli import main
 from driftlab.distributions import PiecewiseSchedule
 from driftlab.presets import sensor3_covering_and_schedule, sensor3_space
 from driftlab.simulate import RUN_BLOCK, SimConfig, run_ensemble
@@ -90,3 +94,31 @@ def test_callable_window_warmup_is_not_a_prefix():
     cfg, _ = _cases()["callable-window"]
     warm = cfg.warmup_mask()
     assert not warm[6] and warm[50:61].all() and not warm[61]
+
+
+TRACE_GOLDEN = {  # 2 runs x 1200 slots of the sensor3 preset
+    "d0": ({}, {
+        "trace_run0000.csv":
+            "fb9f95897285411e45a428cd6bf909f455e3d7b49c2a988d9501a7bce035f47c",
+        "ensemble.csv":
+            "797b57dd19b20557da49fbcd1bc5d31c94e5718dc04e82bd778657f2f032f508",
+    }),
+    "d2-w120": ({"delay": 2, "window": 120}, {
+        "trace_run0000.csv":
+            "1b93019090f1f32b9ea2f54af12371bcd0c32cc4ee2fc97afe8a5d50087badec",
+        "ensemble.csv":
+            "2aa50f5396f7a62cbb2d58cc5aaa4041a1f5c7f8a50335e6cf2bec3ead9e141f",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_GOLDEN))
+def test_trace_csv_digest(name, tmp_path):
+    overrides, pins = TRACE_GOLDEN[name]
+    doc = {"preset": "sensor3", "runs": 2, "horizon": 1200, **overrides}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in pins}
+    assert digests == pins

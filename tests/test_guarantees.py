@@ -125,6 +125,29 @@ class TestDivergenceSeries:
             per_j.append(abs(acc / w))
         assert div[tau] == pytest.approx(min(per_j), rel=1e-10)
 
+    @pytest.mark.parametrize("D", [0, 2])
+    @pytest.mark.parametrize("window", ["fixed", "callable"])
+    def test_equals_per_slot_loop(self, D, window):
+        space = sensor3_space()
+        cov, sch = sensor3_covering_and_schedule(space.states)
+
+        def w_at(t):
+            return 40 if window == "fixed" or t < 50 else 60 + t % 7
+
+        T, istar = 300, 1
+        div = divergence_window_series(sch, cov, istar, T, D, w_at)
+        logm = cov.log_matrix
+        per_slot = sch.weights_matrix(T) @ (logm - logm[istar]).T
+        csum = np.vstack([np.zeros((1, cov.size)), np.cumsum(per_slot, axis=0)])
+        ref = np.full(T, np.nan)
+        for tau in range(T):
+            w = w_at(tau)
+            if tau > D + w - 1:
+                avg = (csum[tau - D + 1] - csum[tau - D - w + 1]) / w
+                ref[tau] = np.abs(np.delete(avg, istar)).min()
+        assert np.isnan(div[: D + 40]).all() and np.isfinite(div[-1])
+        assert div.tobytes() == ref.tobytes()
+
 
 class TestJbarHt:
     def test_stationary_schedule(self):

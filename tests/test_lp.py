@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.optimize
 
 from _helpers import sensor_limit, sensor_tables
-from driftlab import CoveringSet, DomainError, FiniteDistribution
+from driftlab import CoveringSet, DomainError, FiniteDistribution, simplex
 from driftlab.lp import (
     LpInstance,
     gap_delta,
@@ -195,3 +196,31 @@ class TestTheorem1:
         report = theorem1_check(n_instances=5, seed=11)
         for inst in report.instances:
             assert inst.lhs <= inst.rhs + 1e-9
+
+
+class TestBlandPivots:
+    # status and final basis of each solve below, as the per-column scans of
+    # Bland's rule chose them; the redundant equality row sends phase 1 down
+    # both drive-out branches (pivot on a structural column, drop the row)
+    PINNED = "d8e664fdac4a7361d652cfc068c55aeec2a895ca1485e7821d6086d5c173c683"
+
+    @staticmethod
+    def problems(inst):
+        yield dict(c=inst.r[0], A_ub=inst.r[1:], b_ub=inst.c,
+                   A_eq=np.ones((1, inst.n_strategies)), b_eq=np.ones(1))
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            row = rng.integers(-2, 3, n).astype(float)
+            yield dict(c=rng.normal(size=n),
+                       A_ub=rng.integers(-3, 4, (2, n)).astype(float),
+                       b_ub=rng.integers(-1, 4, 2).astype(float),
+                       A_eq=np.vstack([np.ones(n), row, 2 * row]),
+                       b_eq=np.array([1.0, 0.0, 0.0]))
+
+    def test_pivot_choices_pinned(self, sensor_instance):
+        h = hashlib.sha256()
+        for kw in self.problems(sensor_instance):
+            res = simplex.solve(**kw)
+            h.update(repr((res.status, res.basis)).encode())
+        assert h.hexdigest() == self.PINNED
