@@ -11,11 +11,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, dump_preset, load_config
+from . import config
+from .config import ConfigError, ExperimentConfig, dump_preset
 from .errors import DriftlabError, EstimationError
 from .estimators import (
     error_rate,
@@ -306,7 +308,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     ctx = _bound_context(cfg)
     rows = []
     for w, D, t_min in grid:
-        sub = cfg.with_updates(window=w, delay=D)
+        sub = replace(cfg, window=w, delay=D)
         div, pe = _detection_series(sub)
         mixing = cfg.kappa is not None and cfg.kappa * max(D, 1) < LOG3
         beta_vals = [
@@ -320,7 +322,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
                 .astype(int).tolist()) | {cfg.horizon}
         )
         for V in v_grid:
-            vcfg = sub.with_updates(V=V)
+            vcfg = replace(sub, V=V)
             for t in ts:
                 inputs, pqg = _inputs_at(vcfg, ctx, pe, t, cfg.kappa)
                 post = div[inputs.alpha_t : t]
@@ -541,29 +543,15 @@ def main(argv=None) -> int:
     if args.command == "preset-dump":
         return cmd_preset_dump(args.config, args.out or "out")
 
+    flags = {"seed": args.seed, "runs": args.runs, "horizon": args.horizon,
+             "out_dir": args.out, "mode": args.mode}
     try:
-        if args.config:
-            cfg = load_config(args.config)
-        else:
-            from .config import config_from_dict
-
-            cfg = config_from_dict({"preset": "sensor3"}, source="<builtin sensor3>")
+        doc = config.read_config(args.config) if args.config else {"preset": "sensor3"}
+        doc.update((key, value) for key, value in flags.items() if value is not None)
+        cfg = config.config_from_dict(doc, source=args.config or "<builtin sensor3>")
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.runs is not None:
-        updates["runs"] = args.runs
-    if args.horizon is not None:
-        updates["horizon"] = args.horizon
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.mode is not None:
-        updates["mode"] = args.mode
-    if updates:
-        cfg = cfg.with_updates(**updates)
 
     commands = {
         "simulate": cmd_simulate,

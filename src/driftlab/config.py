@@ -10,7 +10,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -93,9 +93,6 @@ class ExperimentConfig:
         )
         values.update(overrides)
         return SimConfig(**values)
-
-    def with_updates(self, **kw: Any) -> "ExperimentConfig":
-        return replace(self, **kw)
 
 
 def _unknown(keys, allowed, path, errors):
@@ -266,6 +263,9 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
     mode = doc.get("mode", MODE_DEFAULT)
     if mode not in (MODE_DEFAULT, MODE_LITERAL):
         errors.append(f'mode: expected "default" or "literal", got {mode!r}')
+    out_dir = doc.get("out_dir", "out")
+    if not isinstance(out_dir, str):
+        errors.append(f"out_dir: expected a string, got {out_dir!r}")
     seed = _number(doc, "seed", errors, kind=int, default=0)
     runs = _number(doc, "runs", errors, kind=int, default=defaults["runs"])
     horizon = _number(doc, "horizon", errors, kind=int, default=defaults["horizon"])
@@ -298,8 +298,8 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
     if V is not None and not math.isfinite(V):
         errors.append(f"V: must be finite, got {V}")
     for name, value, low in (
-        ("runs", runs, 1), ("horizon", horizon, 1), ("window", window, 1),
-        ("delay", delay, 0), ("V", V, 0.0),
+        ("seed", seed, 0), ("runs", runs, 1), ("horizon", horizon, 1),
+        ("window", window, 1), ("delay", delay, 0), ("V", V, 0.0),
     ):
         if value is not None and value < low:
             errors.append(f"{name}: must be >= {low}, got {value}")
@@ -311,7 +311,7 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig(
         space=space, covering=covering, schedule=schedule,
         V=V, delay=delay, window=window, horizon=horizon, runs=runs,
-        seed=seed, mode=mode, out_dir=doc.get("out_dir", "out"),
+        seed=seed, mode=mode, out_dir=out_dir,
         nu=nu, lyapunov_cap=cap, eps=eps, kappa=kappa,
         preset=preset, **sweeps,
     )
@@ -322,7 +322,9 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_config(path: str | Path) -> dict:
+    """The JSON object in ``path``; a missing file, a parse error or a root
+    that is not an object raises ``ConfigError``."""
     p = Path(path)
     if not p.exists():
         raise ConfigError([f"{p}: file not found"])
@@ -332,7 +334,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(
             [f"{p}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
-    return config_from_dict(doc, source=str(p))
+    if not isinstance(doc, dict):
+        raise ConfigError([f"{p}: document root must be an object"])
+    return doc
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_dict(read_config(path), source=str(path))
 
 
 def dump_preset(name: str = "sensor3") -> dict:

@@ -276,15 +276,14 @@ class Schedule:
 
     limit: FiniteDistribution
 
-    def weights_at(self, t: int) -> np.ndarray:
+    def weights_matrix(self, horizon: int) -> np.ndarray:
+        """(T, |Ω|) matrix of per-slot probability rows."""
         raise NotImplementedError
 
     def at(self, t: int) -> FiniteDistribution:
-        return FiniteDistribution(self.weights_at(t))
-
-    def weights_matrix(self, horizon: int) -> np.ndarray:
-        """(T, |Ω|) matrix of per-slot probability rows."""
-        return np.vstack([self.weights_at(t) for t in range(horizon)])
+        if t < 0:
+            raise DomainError("slot index must be nonnegative")
+        return FiniteDistribution(self.weights_matrix(t + 1)[t].copy())
 
 
 @dataclass(frozen=True)
@@ -300,12 +299,6 @@ class GeometricSchedule(Schedule):
             raise DimensionError("limit and start lengths differ")
         if not 0 < self.rho < 1:
             raise ConfigurationError(f"rho must lie in (0, 1), got {self.rho}")
-
-    def weights_at(self, t: int) -> np.ndarray:
-        if t < 0:
-            raise DomainError("slot index must be nonnegative")
-        r = self.rho**t
-        return (1.0 - r) * self.limit.probs + r * self.start.probs
 
     def weights_matrix(self, horizon: int) -> np.ndarray:
         r = self.rho ** np.arange(horizon)[:, None]
@@ -337,15 +330,10 @@ class PiecewiseSchedule(Schedule):
         if l1_distance(segs[-1][1], self.limit) != 0.0:
             raise ConfigurationError("final segment must equal the limit distribution")
 
-    def weights_at(self, t: int) -> np.ndarray:
-        if t < 0:
-            raise DomainError("slot index must be nonnegative")
-        probs = self.segments[0][1].probs
-        for start, dist in self.segments:
-            if start > t:
-                break
-            probs = dist.probs
-        return probs
+    def weights_matrix(self, horizon: int) -> np.ndarray:
+        starts = np.array([s for s, _ in self.segments])
+        rows = np.vstack([d.probs for _, d in self.segments])
+        return rows[np.searchsorted(starts, np.arange(horizon), side="right") - 1]
 
 
 def stationary(dist: FiniteDistribution) -> PiecewiseSchedule:

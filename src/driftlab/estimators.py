@@ -48,6 +48,16 @@ def _cells(values: np.ndarray) -> tuple[np.ndarray, int]:
     return inv, int(inv.max()) + 1
 
 
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """The inverse of ``np.unique(rows, axis=0)``: column ranks are combined one
+    column at a time and re-ranked after each, so ids stay below the row count."""
+    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        rank, n = _cells(col)
+        ids, _ = _cells(ids * n + rank)
+    return ids
+
+
 def _tv_and_ci(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     n = x.size
     xi, nx = _cells(x)
@@ -147,7 +157,7 @@ def estimate_kappa(
         return KappaEstimate(None, "no post-warmup slots", 0, 0, 0, 0)
     m_flat = ensemble.m[:, mask].ravel()
     x_rows = ensemble.p[:, mask, :].reshape(pooled, -1)
-    _, x_flat = np.unique(x_rows, axis=0, return_inverse=True)
+    x_flat = _row_ids(x_rows)
     m_ids, m_inv = np.unique(m_flat, return_inverse=True)
     n_m = m_ids.size
     n_x = int(x_flat.max()) + 1

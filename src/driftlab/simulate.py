@@ -52,6 +52,14 @@ class SimConfig:
     def w_at(self, t: int) -> int:
         return self.window if isinstance(self.window, int) else int(self.window(t))
 
+    @cached_property
+    def windows(self) -> np.ndarray:
+        """(T,) read-only window size of each slot."""
+        T, w = self.horizon, self.window
+        windows = np.full(T, w) if isinstance(w, int) else np.array([int(w(t)) for t in range(T)])
+        windows.setflags(write=False)
+        return windows
+
     def validate(self) -> None:
         problems = []
         if not math.isfinite(self.V) or self.V < 0:
@@ -60,15 +68,24 @@ class SimConfig:
             problems.append(f"delay D must be >= 0, got {self.D}")
         if self.horizon < 1:
             problems.append(f"horizon must be >= 1, got {self.horizon}")
+        elif (self.windows < 1).any():
+            t = int(np.argmax(self.windows < 1))
+            problems.append(f"window size at t={t} is {self.windows[t]} (< 1)")
         n = self.space.states.total
         if len(self.schedule.limit) != n:
             problems.append("schedule limit length does not match the state space")
         if self.covering.n_outcomes != n:
             problems.append("covering members do not match the state space")
-        for t in range(self.horizon if callable(self.window) else 1):
-            if self.w_at(t) < 1:
-                problems.append(f"window size at t={t} is {self.w_at(t)} (< 1)")
-                break
+        uncovered = ~(self.covering.prob_matrix > 0).any(axis=0)
+        if not problems and uncovered.any():
+            weights = self.schedule.weights_matrix(self.horizon)[:, uncovered]
+            slots, outcomes = np.nonzero(weights > 0)
+            if slots.size:
+                outcome = int(np.flatnonzero(uncovered)[outcomes[0]])
+                problems.append(
+                    f"schedule gives mass to outcome {outcome} from slot {slots[0]}, "
+                    "but every covering member has zero mass there"
+                )
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -77,10 +94,22 @@ class SimConfig:
         idx, _ = nearest_member(self.covering, self.schedule.limit, warn=False)
         return idx
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """(T, |Ω|) per-slot state CDFs of the schedule."""
+        return np.cumsum(self.schedule.weights_matrix(self.horizon), axis=1)
+
+    @cached_property
+    def candidates(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per member: (candidate indices, r_table columns of those candidates)."""
+        out = []
+        for r_table in map(self.space.r_table, self.covering.members):
+            cand = selection_candidates(r_table)
+            out.append((cand, r_table[:, cand]))
+        return tuple(out)
+
     def warmup_mask(self) -> np.ndarray:
-        t = np.arange(self.horizon)
-        w = np.array([self.w_at(int(s)) for s in t])
-        return t <= self.D + w - 1
+        return np.arange(self.horizon) <= self.D + self.windows - 1
 
 
 @dataclass
@@ -206,46 +235,20 @@ def run_rngs(master_seed: int, run_index: int) -> tuple[np.random.Generator, np.
     return np.random.default_rng(s_states), np.random.default_rng(s_warm)
 
 
-class _Shared:
-    """Per-ensemble precomputation shared read-only across runs."""
-
-    def __init__(self, config: SimConfig):
-        config.validate()
-        T = config.horizon
-        weights = config.schedule.weights_matrix(T)
-        uncovered = ~(config.covering.prob_matrix > 0).any(axis=0)
-        slots, outcomes = np.nonzero(weights[:, uncovered] > 0)
-        if slots.size:
-            outcome = int(np.flatnonzero(uncovered)[outcomes[0]])
-            raise ConfigurationError(
-                f"schedule gives mass to outcome {outcome} from slot {slots[0]}, "
-                "but every covering member has zero mass there"
-            )
-        self.cdf = np.cumsum(weights, axis=1)
-        # (candidate indices, r_table columns of those candidates) per member
-        self.candidates = []
-        for member in config.covering.members:
-            r_table = config.space.r_table(member)
-            cand = selection_candidates(r_table)
-            self.candidates.append((cand, r_table[:, cand]))
-        self.warmup = config.warmup_mask()
-        self.istar = config.istar
+def _draw_states(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return inverse_cdf(cdf, rng.random(cdf.shape[0])).astype(np.int32)
 
 
-def _draw_states(shared: _Shared, rng: np.random.Generator) -> np.ndarray:
-    return inverse_cdf(shared.cdf, rng.random(shared.cdf.shape[0])).astype(np.int32)
-
-
-def _run_block(config: SimConfig, shared: _Shared, first: int, n: int) -> list[RunTrace]:
+def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
     """Step runs ``first .. first+n-1`` together, slot by slot."""
     space, covering = config.space, config.covering
     K = space.cost.n_penalties
     T, D, V = config.horizon, config.D, config.V
     c = space.cost.c
-    warm = shared.warmup
+    warm, windows = config.warmup_mask(), config.windows
 
     rngs = [run_rngs(config.seed, first + i) for i in range(n)]
-    omega = np.stack([_draw_states(shared, rng_states) for rng_states, _ in rngs])
+    omega = np.stack([_draw_states(config.cdf, rng_states) for rng_states, _ in rngs])
 
     jstar = np.empty((n, T), dtype=np.int32)
     ms = np.empty((n, T), dtype=np.int32)
@@ -257,12 +260,11 @@ def _run_block(config: SimConfig, shared: _Shared, first: int, n: int) -> list[R
         if warm[t]:
             j = np.array([warmup_detect(covering, rng_warm) for _, rng_warm in rngs])
         else:
-            w = config.w_at(t)
-            j = detect(omega[:, t - D - w + 1 : t - D + 1], covering)
+            j = detect(omega[:, t - D - windows[t] + 1 : t - D + 1], covering)
         m = np.empty(n, dtype=np.int64)
         for member in np.unique(j):
             group = j == member
-            cand, r_cand = shared.candidates[member]
+            cand, r_cand = config.candidates[member]
             m[group] = cand[select_strategy(q[group], V, r_cand)]
         p[:, t] = space.realized[:, m, omega[:, t]].T
         q = update_queues(q, p[:, t - D, 1:] if t >= D else no_delayed, c)
@@ -279,7 +281,8 @@ def _run_block(config: SimConfig, shared: _Shared, first: int, n: int) -> list[R
 
 def run(config: SimConfig, run_index: int = 0) -> RunTrace:
     """Execute one seeded run and return its full trace."""
-    return _run_block(config, _Shared(config), run_index, 1)[0]
+    config.validate()
+    return _run_block(config, run_index, 1)[0]
 
 
 def run_ensemble(
@@ -296,7 +299,7 @@ def run_ensemble(
     """
     if n_runs < 1:
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-    shared = _Shared(config)
+    config.validate()
     T = config.horizon
     K = config.space.cost.n_penalties
     sum_p = np.zeros((T, K + 1))
@@ -306,7 +309,7 @@ def run_ensemble(
     m_runs = np.empty((n_runs, T), dtype=np.int32) if store_runs else None
     q_runs = np.empty((n_runs, T, K)) if store_runs else None
     for first in range(0, n_runs, RUN_BLOCK):
-        block = _run_block(config, shared, first, min(RUN_BLOCK, n_runs - first))
+        block = _run_block(config, first, min(RUN_BLOCK, n_runs - first))
         for i, tr in enumerate(block, first):
             sum_p += tr.p
             final[i] = tr.avg[-1]
@@ -321,8 +324,8 @@ def run_ensemble(
         mean_p=sum_p / n_runs,
         final_avg=final,
         run_count=n_runs,
-        istar=shared.istar,
-        warmup=shared.warmup,
+        istar=config.istar,
+        warmup=config.warmup_mask(),
         p=p_runs,
         jstar=j_runs,
         m=m_runs,

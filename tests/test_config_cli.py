@@ -72,6 +72,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="window: expected a int, got inf"):
             config_from_dict({"preset": "sensor3", "window": float("inf")})
 
+    def test_out_dir_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="out_dir: expected a string, got 5"):
+            config_from_dict({"preset": "sensor3", "out_dir": 5})
+
     def test_parse_error_reports_line(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{\n  "preset": "sensor3",\n  broken\n}')
@@ -207,6 +211,41 @@ class TestCli:
             "kind": "piecewise", "limit": uniform, "segments": [[0.5, uniform]]}}
         with pytest.raises(ConfigError, match="schedule: expected an integer, got 0.5"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("stage", ["simulate", "lp", "bounds", "empirics", "compare"])
+    @pytest.mark.parametrize("field, value, rule", [
+        ("runs", 0, ">= 1"), ("horizon", 0, ">= 1"), ("seed", -1, ">= 0"),
+    ])
+    @pytest.mark.parametrize("as_flag", [True, False], ids=["flag", "key"])
+    def test_out_of_range_field_exit_code(self, tmp_path, capsys, stage, field,
+                                          value, rule, as_flag):
+        argv = [stage, "--out", str(tmp_path / "o")]
+        if as_flag:
+            argv += [f"--{field}", str(value)]
+        else:
+            argv += ["--config", str(write_doc(tmp_path, {"preset": "sensor3",
+                                                          field: value}))]
+        assert main(argv) == 2
+        assert f"\n  {field}: must be {rule}, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("stage", ["simulate", "lp", "bounds"])
+    def test_uncovered_outcome_exit_code(self, tmp_path, capsys, stage):
+        # outcome 2 gets mass in slots 7-8, and no member covers it
+        covered = [0.5, 0.5, 0.0]
+        doc = {
+            "horizon": 40, "window": 2, "state_space": [3], "action_space": [2],
+            "cost": {"tables": [[[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]],
+                                [[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]],
+                     "constraints": [0.5]},
+            "covering": {"members": [covered, [0.4, 0.6, 0.0]],
+                         "delta": 1.0, "alpha_delta": 0.95, "beta_delta": 0.05},
+            "schedule": {"kind": "piecewise", "limit": covered,
+                         "segments": [[0, covered], [7, [0.4, 0.4, 0.2]], [9, covered]]},
+        }
+        p = write_doc(tmp_path, doc)
+        assert main([stage, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "outcome 2 from slot 7" in capsys.readouterr().err
 
     def test_bounds_sweep_rows_match_single_point_sweeps(self, tmp_path, monkeypatch):
         probe = cli.lipschitz_probe

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -245,10 +244,10 @@ class TestSample:
         top = np.nextafter(1.0, 0.0)
         assert d.cdf[-1] == top
         # a second row whose last outcome has mass keeps drawing it
-        shared = SimpleNamespace(cdf=np.vstack([d.cdf, F.uniform(11).cdf]))
+        cdf = np.vstack([d.cdf, F.uniform(11).cdf])
         for u, want in ((0.0, 0), (0.05, 0), (0.95, 9), (top, 9)):
             assert sample(d, StubRng(u)) == want
-            drawn = _draw_states(shared, StubRng(u))
+            drawn = _draw_states(cdf, StubRng(u))
             assert drawn.tolist() == [want, 10 if u >= 0.95 else 0]
 
 
@@ -325,7 +324,8 @@ class TestSchedules:
         )
         mat = sch.weights_matrix(25)
         for t in range(25):
-            assert np.allclose(mat[t], sch.weights_at(t), atol=1e-15)
+            closed = (1 - 0.9**t) * np.array([0.2, 0.8]) + 0.9**t * np.array([0.9, 0.1])
+            assert np.allclose(mat[t], closed, atol=1e-15)
 
     def test_piecewise(self):
         a, b = dist(0.9, 0.1), dist(0.2, 0.8)
@@ -333,6 +333,12 @@ class TestSchedules:
         assert l1_distance(sch.at(4), a) == 0.0
         assert l1_distance(sch.at(5), b) == 0.0
         assert l1_distance(sch.at(100), b) == 0.0
+
+    def test_piecewise_matrix_rows_follow_segments(self):
+        a, b, c = dist(0.9, 0.1), dist(0.2, 0.8), dist(0.5, 0.5)
+        sch = PiecewiseSchedule(limit=c, segments=((0, a), (3, b), (7, c)))
+        want = [a if t < 3 else b if t < 7 else c for t in range(12)]
+        assert np.array_equal(sch.weights_matrix(12), np.vstack([d.probs for d in want]))
 
     def test_piecewise_must_settle_on_limit(self):
         a, b = dist(0.9, 0.1), dist(0.2, 0.8)

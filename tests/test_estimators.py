@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftlab import EstimationError
 from driftlab.estimators import (
@@ -9,6 +12,7 @@ from driftlab.estimators import (
     estimate_beta1,
     estimate_kappa,
     gap_report,
+    _row_ids,
     interval_error_rate,
 )
 from driftlab.simulate import EnsembleResult
@@ -94,6 +98,15 @@ class TestBeta1:
 
 
 class TestKappa:
+    @given(st.integers(1, 4).flatmap(lambda k: arrays(
+        np.float64, st.tuples(st.integers(1, 40), st.just(k)),
+        elements=st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, 1e-300]),
+    )))
+    @settings(max_examples=300, deadline=None)
+    def test_row_ids_equal_unique_rows(self, rows):
+        want = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+        assert np.array_equal(_row_ids(rows), want)
+
     def test_single_strategy_undefined(self):
         p = np.zeros((50, 20, 2))
         ens = synthetic_ensemble(p, m=np.zeros((50, 20), dtype=np.int32))

@@ -1,5 +1,6 @@
-"""Golden pins: SHA-256 digests of the integer streams (omega, jstar, m)
-and of the trace CSVs that ``simulate`` writes.
+"""Golden pins: SHA-256 digests of the integer streams (omega, jstar, m),
+of the trace CSVs that ``simulate`` writes, and of every file the five
+pipeline stages write.
 
 The streams are hashed run by run as little-endian int32, so the digests
 hold across BLAS builds.  A refactor of the control loop must leave them
@@ -122,3 +123,36 @@ def test_trace_csv_digest(name, tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in pins}
     assert digests == pins
+
+
+OUTPUT_DIR_GOLDEN = {  # sensor3, --runs 4 --horizon 400 --seed 5
+    "bounds.csv":
+        "2288f6560a14dfd57b51992216ce828fe9eff35d8627791c0ee4656c0a7f31b1",
+    "compare.csv":
+        "fad7a435de42e2aad04df54bd15a835e2734194d0be1cad031856e6ea16c8bf0",
+    "empirics.csv":
+        "28a8d6f4f57646dfb52f7740f01d2d38d589f6df5af24d7ac09bb9013f92bf06",
+    "ensemble.csv":
+        "304fbe1d34748e78ac1b87c3263f1a9df284d9a580909c5aeaaf8cabb6da881a",
+    "error_rates.csv":
+        "d468e68afbea12db78bd6194766cc91dd73f006c374f1580a969ef78543015e7",
+    "lp.csv":
+        "b1cb4c3ca16606e8c1de60bf0f0efe3ec9591a0d7457fcc248f730d0f8b9c79c",
+    "trace_run0000.csv":
+        "5968df6c5d2489100d77139ce7cc9d347803705b070f1ecbae89ccbf92aa44cf",
+    "trace_run0001.csv":
+        "34bb9f87a6f9c4a0ab431c433830c8bcd81c190037fde10898e47bdc6980ea6e",
+    "trace_run0002.csv":
+        "fcc8e3e6c0e87cb8a9093eddd3922f1eccd638d071fbf778d195501037abfd49",
+    "trace_run0003.csv":
+        "f027862faafe372366f4e86ca9f8bdbdd311cb3ffa6ac7907eede32a3b839d14",
+}
+
+
+def test_output_dir_digest(tmp_path):
+    out = tmp_path / "out"
+    for stage in ("simulate", "lp", "bounds", "empirics", "compare"):
+        assert main([stage, "--out", str(out), "--runs", "4", "--horizon", "400",
+                     "--seed", "5"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == OUTPUT_DIR_GOLDEN

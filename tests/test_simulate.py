@@ -168,6 +168,19 @@ class TestSelectionCandidates:
         assert [c.size for c in cands] == [442, 481, 509, 504, 504, 505, 512, 491]
         assert np.array_equal(cands[0], naive_candidates(tables[0]))
 
+    def test_pruned_once_per_config(self):
+        space = sensor3_space()
+        cov, sch = sensor3_covering_and_schedule(space.states)
+        cfg = SimConfig(space=space, schedule=sch, covering=cov, V=20.0, D=0,
+                        window=40, horizon=50, seed=1)
+        calls = []
+        prune = simulate.selection_candidates
+        with mock.patch.object(simulate, "selection_candidates",
+                               lambda rt: calls.append(1) or prune(rt)):
+            for i in range(3):
+                run(cfg, i)
+        assert len(calls) == cov.size == 8
+
 
 class TestQueues:
     def test_at_constraint(self):
