@@ -242,11 +242,10 @@ def _detection_series(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """(div, pe) under the window and the delay of ``cfg``."""
     sim = cfg.sim()
     div = divergence_window_series(
-        cfg.schedule, cfg.covering, sim.istar, cfg.horizon, cfg.delay, sim.w_at
+        cfg.schedule, cfg.covering, sim.istar, cfg.delay, sim.windows
     )
     pe = pe_sequence(
-        cfg.horizon, cfg.delay, sim.w_at, cfg.covering.zeta, div,
-        cfg.covering.size, cfg.mode,
+        cfg.delay, sim.windows, cfg.covering.zeta, div, cfg.covering.size, cfg.mode,
     )
     return div, pe
 

@@ -40,6 +40,10 @@ class ConfigError(ConfigurationError):
         self.errors = list(errors)
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.errors))
 
+    def __reduce__(self):
+        # args holds the joined message, not the list __init__ takes
+        return type(self), (self.errors,)
+
 
 TOP_KEYS = {
     "preset", "seed", "runs", "horizon", "V", "delay", "window", "mode",

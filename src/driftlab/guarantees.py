@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,19 +96,21 @@ def divergence_window_series(
     schedule: Schedule,
     covering: CoveringSet,
     istar: int,
-    horizon: int,
     D: int,
-    w_at: Callable[[int], int],
+    windows: np.ndarray,
 ) -> np.ndarray:
     """(T,) smallest wrong-member divergence magnitude per slot.
 
-    The per-slot expected log-ratio is averaged over each slot's delayed
+    ``windows`` holds each slot's window size (``SimConfig.windows``).  The
+    per-slot expected log-ratio is averaged over each slot's delayed
     window; warmup slots (incomplete window) hold NaN since the error bound
     there is the uniform-pick constant.
     """
     logm = covering.log_matrix
     if not np.all(np.isfinite(logm)):
         raise DomainError("divergence series needs strictly positive members")
+    w = np.asarray(windows, dtype=np.int64)
+    horizon = w.size
     weights = schedule.weights_matrix(horizon)
     diff = (logm - logm[istar]).T  # (|Omega|, M)
     per_slot = weights @ diff  # (T, M)
@@ -117,7 +119,6 @@ def divergence_window_series(
     wrong = [j for j in range(covering.size) if j != istar]
     if not wrong:
         return out
-    w = np.array([w_at(tau) for tau in range(horizon)], dtype=np.int64)
     tau = np.flatnonzero(np.arange(horizon) > D + w - 1)  # past warmup
     hi = tau - D + 1
     lo = hi - w[tau]
@@ -127,19 +128,19 @@ def divergence_window_series(
 
 
 def pe_sequence(
-    horizon: int,
     D: int,
-    w_at: Callable[[int], int],
+    windows: np.ndarray,
     zeta: float,
     div_series: np.ndarray,
     M: int,
     mode: str = MODE_DEFAULT,
 ) -> np.ndarray:
-    """Raw detection-error bounds for slots 0..horizon-1."""
-    out = np.empty(horizon)
-    for tau in range(horizon):
-        w = w_at(tau)
-        d = div_series[tau]
+    """Raw detection-error bounds for slots 0..T-1, where ``windows`` holds
+    each slot's window size (``SimConfig.windows``) and ``div_series`` the
+    same slots' divergence floor."""
+    w_list, d_list = np.asarray(windows).tolist(), div_series.tolist()
+    out = np.empty(len(w_list))
+    for tau, (w, d) in enumerate(zip(w_list, d_list, strict=True)):
         out[tau] = pe_upper(tau, D, w, zeta, 0.0 if math.isnan(d) else d, M, mode)
     return out
 

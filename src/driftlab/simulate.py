@@ -9,16 +9,25 @@ strategies (``selection_candidates``), which always contain the full-table
 argmin.
 
 Each run is strictly sequential in t.  Runs are stepped together in blocks
-of ``RUN_BLOCK``, slot by slot, through the same public kernels (``detect``,
-``select_strategy``, ``update_queues``, ``warmup_detect``) that a single run
-uses.  Every run draws from its own RNG streams derived from (master seed,
-run index), so results do not depend on the block partition or on execution
-order.
+of at most ``RUN_BLOCK``, slot by slot, through the same public kernels
+(``detect``, ``select_strategy``, ``update_queues``, ``warmup_detect``) that
+a single run uses.  Every run draws from its own RNG streams derived from
+(master seed, run index), so results do not depend on the block partition
+or on execution order.
+
+``run_ensemble`` runs its blocks in forked worker processes, one per CPU
+the process may use (``os.sched_getaffinity``), and receives the runs back
+in run order; it stays in-process when that is one CPU or one block, when
+``fork`` is not available, or when the process runs other threads.  Results
+do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -26,11 +35,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import CoveringSet, Schedule, inverse_cdf, nearest_member
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, DriftlabError
 from .strategies import StrategySpace
 
 # Runs stepped together per block.  Per-block arrays grow with it; 16 keeps
-# the ensemble's peak memory within a few percent of one run at a time.
+# the ensemble's peak memory within a few percent of one run at a time.  An
+# ensemble of n runs on W workers has ceil(n / RUN_BLOCK) blocks, rounded up
+# to a multiple of W, with sizes that differ by at most 1 (20 runs on 2
+# workers: 10 + 10); worker w runs blocks w, w + W, ...
 RUN_BLOCK = 16
 
 # Columns tested together by ``selection_candidates``; its boolean
@@ -175,9 +187,13 @@ def select_strategy(q: np.ndarray, V: float, r_table: np.ndarray) -> int | np.nd
     rescan reproduces them bit for bit, with or without the run axis.
     """
     q = np.asarray(q, dtype=np.float64)
-    scores = np.broadcast_to(V * r_table[0], q.shape[:-1] + r_table.shape[1:])
-    for k in range(r_table.shape[0] - 1):
-        scores = scores + r_table[k + 1] * q[..., k, None]
+    K = r_table.shape[0] - 1
+    if K == 0:
+        scores = np.broadcast_to(V * r_table[0], q.shape[:-1] + r_table.shape[1:])
+    else:
+        scores = V * r_table[0] + r_table[1] * q[..., 0, None]
+        for k in range(1, K):
+            scores += r_table[k + 1] * q[..., k, None]
     m = scores.argmin(axis=-1)
     return int(m) if m.ndim == 0 else m
 
@@ -285,6 +301,91 @@ def run(config: SimConfig, run_index: int = 0) -> RunTrace:
     return _run_block(config, run_index, 1)[0]
 
 
+def _worker_count(n_runs: int) -> int:
+    """Forked workers for ``n_runs``: one per usable CPU and at most one per
+    block; 1 means in-process.  A fork copies other threads' locks in
+    whatever state they are in, so a process with threads stays in-process."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, -(-n_runs // RUN_BLOCK))
+
+
+def _partition(n_runs: int, workers: int) -> list[tuple[int, int]]:
+    """(first run, size) of each block, by the rule at ``RUN_BLOCK``."""
+    count = -(-n_runs // RUN_BLOCK)
+    count = -(-count // workers) * workers
+    size, extra = divmod(n_runs, count)
+    sizes = [size + (b < extra) for b in range(count)]
+    return [(sum(sizes[:b]), n) for b, n in enumerate(sizes)]
+
+
+def _in_process_runs(config: SimConfig, blocks: list[tuple[int, int]]):
+    for first, size in blocks:
+        yield from enumerate(_run_block(config, first, size), first)
+
+
+def _worker(config: SimConfig, blocks: list[tuple[int, int]], conn) -> None:
+    """Forked worker: send each run of ``blocks`` in order, or the exception
+    that stopped it."""
+    try:
+        for first, size in blocks:
+            for trace in _run_block(config, first, size):
+                conn.send(trace)
+    except Exception as exc:
+        conn.send(exc)
+    finally:
+        conn.close()
+
+
+def _forked_runs(config: SimConfig, blocks: list[tuple[int, int]], workers: int):
+    """Yield (run index, trace) in run order from ``workers`` forked workers.
+
+    Each worker has its own pipe and sends one message per run; block b
+    comes from worker b % workers.  A full pipe blocks its worker, so about
+    one block per worker is in flight.  On an exception, or when the caller
+    stops early, every worker is terminated and joined.
+    """
+    import multiprocessing
+
+    # built once here, not in every worker after the fork
+    _ = config.candidates, config.cdf, config.windows, config.covering.log_matrix
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    done = False
+    try:
+        for w in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            procs.append(ctx.Process(
+                target=_worker, args=(config, blocks[w::workers], send), daemon=True,
+            ))
+            procs[-1].start()
+            send.close()  # the worker holds the write end; EOF means it died
+        for b, (first, size) in enumerate(blocks):
+            w = b % workers
+            for i in range(first, first + size):
+                try:
+                    msg = conns[w].recv()
+                except EOFError:
+                    procs[w].join()
+                    raise DriftlabError(
+                        f"simulation worker {w} exited with code {procs[w].exitcode} "
+                        f"before sending run {i}"
+                    ) from None
+                if isinstance(msg, Exception):
+                    raise msg
+                yield i, msg
+        done = True
+    finally:
+        for proc in procs:
+            if not done:
+                proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
 def run_ensemble(
     config: SimConfig,
     n_runs: int,
@@ -293,9 +394,11 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Independent seeded runs merged by run index.
 
-    ``on_trace`` is invoked with each completed run (for streaming output);
-    ``store_runs=False`` drops the per-run arrays that only the estimators
-    need, bounding memory for large ensembles.
+    ``on_trace`` is invoked with each completed run, in run order (for
+    streaming output); ``store_runs=False`` drops the per-run arrays that
+    only the estimators need, bounding memory for large ensembles.  Blocks
+    run in forked workers when there is more than one usable CPU (see the
+    module docstring); ``on_trace`` and the merge run in this process.
     """
     if n_runs < 1:
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
@@ -308,9 +411,14 @@ def run_ensemble(
     j_runs = np.empty((n_runs, T), dtype=np.int32) if store_runs else None
     m_runs = np.empty((n_runs, T), dtype=np.int32) if store_runs else None
     q_runs = np.empty((n_runs, T, K)) if store_runs else None
-    for first in range(0, n_runs, RUN_BLOCK):
-        block = _run_block(config, first, min(RUN_BLOCK, n_runs - first))
-        for i, tr in enumerate(block, first):
+    workers = _worker_count(n_runs)
+    blocks = _partition(n_runs, workers)
+    runs = (
+        _forked_runs(config, blocks, workers) if workers > 1
+        else _in_process_runs(config, blocks)
+    )
+    with contextlib.closing(runs):
+        for i, tr in runs:
             sum_p += tr.p
             final[i] = tr.avg[-1]
             if store_runs:

@@ -132,10 +132,10 @@ def test_criterion_5_detection_bound(bench_cfg, detect_ensembles):
     for w, ens in detect_ensembles.items():
         sim = bench_cfg.sim(window=w, horizon=600)
         div = divergence_window_series(
-            bench_cfg.schedule, bench_cfg.covering, 0, 600, 0, lambda _t: w
+            bench_cfg.schedule, bench_cfg.covering, 0, 0, sim.windows
         )
         pe = np.minimum(
-            pe_sequence(600, 0, lambda _t: w, bench_cfg.covering.zeta, div,
+            pe_sequence(0, sim.windows, bench_cfg.covering.zeta, div,
                         bench_cfg.covering.size, MODE_DEFAULT),
             1.0,
         )

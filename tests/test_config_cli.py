@@ -1,4 +1,5 @@
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from driftlab import cli
 from driftlab.cli import blocking_constants, fmt, main, read_traces
 from driftlab.config import ConfigError, config_from_dict, dump_preset, load_config
+from driftlab.errors import DriftlabError
 from driftlab.simulate import run_ensemble
 
 
@@ -347,3 +349,20 @@ class TestCli:
         doc = json.loads((tmp_path / "o" / "preset_sensor3.json").read_text())
         assert doc["V"] == 20.0
         assert len(doc["covering"]["members"]) == 8
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("cls", sorted(set(_subclasses(DriftlabError)), key=lambda c: c.__name__))
+def test_errors_survive_pickling(cls):
+    # a forked simulation worker sends its exception to the parent pickled
+    errors = ["runs: must be >= 1, got 0", "seed: must be >= 0, got -1"]
+    exc = cls(errors) if issubclass(cls, ConfigError) else cls(errors[0])
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc)
+    assert getattr(back, "errors", None) == getattr(exc, "errors", None)

@@ -10,10 +10,12 @@ The CSV pins hold the writer to its bytes, ``-0`` cells included.
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from driftlab import simulate
 from driftlab.cli import main
 from driftlab.distributions import PiecewiseSchedule
 from driftlab.presets import sensor3_covering_and_schedule, sensor3_space
@@ -85,6 +87,13 @@ GOLDEN = {
 def test_stream_digest(name):
     cfg, n_runs = _cases()[name]
     assert stream_digest(cfg, n_runs) == GOLDEN[name]
+
+
+def test_block_crossing_digest_on_two_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg, n_runs = _cases()["block-crossing"]
+    assert simulate._worker_count(n_runs) == 2
+    assert stream_digest(cfg, n_runs) == GOLDEN["block-crossing"]
 
 
 def test_block_crossing_case_crosses_a_block():

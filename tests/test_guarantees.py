@@ -96,8 +96,8 @@ class TestSTDelta:
         space = sensor3_space()
         cov, sch = sensor3_covering_and_schedule(space.states)
         t, alpha, w = 400, 100, 40
-        div = divergence_window_series(sch, cov, 0, t, 0, lambda _: w)
-        pe = pe_sequence(t, 0, lambda _: w, cov.zeta, div, cov.size)
+        div = divergence_window_series(sch, cov, 0, 0, np.full(t, w))
+        pe = pe_sequence(0, np.full(t, w), cov.zeta, div, cov.size)
         slot_sum = pe[alpha:t].sum()
         min_div = np.nanmin(np.abs(div[alpha:t]))
         _, interval = s_t_delta(t, alpha, cov.zeta, float(min_div), w, cov.size)
@@ -108,7 +108,7 @@ class TestDivergenceSeries:
     def test_benchmark_values_and_warmup_nan(self):
         space = sensor3_space()
         cov, sch = sensor3_covering_and_schedule(space.states)
-        div = divergence_window_series(sch, cov, 0, 200, 0, lambda _: 40)
+        div = divergence_window_series(sch, cov, 0, 0, np.full(200, 40))
         assert np.all(np.isnan(div[:40]))
         assert np.all(div[40:] > 0)
 
@@ -116,7 +116,7 @@ class TestDivergenceSeries:
         space = sensor3_space()
         cov, sch = sensor3_covering_and_schedule(space.states)
         tau, w, D = 120, 40, 0
-        div = divergence_window_series(sch, cov, 0, 200, D, lambda _: w)
+        div = divergence_window_series(sch, cov, 0, D, np.full(200, w))
         per_j = []
         for j in range(1, cov.size):
             acc = 0.0
@@ -135,7 +135,8 @@ class TestDivergenceSeries:
             return 40 if window == "fixed" or t < 50 else 60 + t % 7
 
         T, istar = 300, 1
-        div = divergence_window_series(sch, cov, istar, T, D, w_at)
+        windows = np.array([w_at(t) for t in range(T)])
+        div = divergence_window_series(sch, cov, istar, D, windows)
         logm = cov.log_matrix
         per_slot = sch.weights_matrix(T) @ (logm - logm[istar]).T
         csum = np.vstack([np.zeros((1, cov.size)), np.cumsum(per_slot, axis=0)])

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import threading
 from unittest import mock
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from _helpers import sensor_limit
 from driftlab import simulate
 from driftlab import ConfigurationError, CoveringSet, FiniteDistribution, stationary
+from driftlab.errors import DriftlabError
 from driftlab.distributions import PiecewiseSchedule, ProductStateSpace
 from driftlab.presets import sensor3_covering_and_schedule, sensor3_space
 from driftlab.simulate import (
@@ -413,3 +416,124 @@ class TestEnsemble:
             assert abs(gap) <= curvature / v + 0.01
             gaps.append(gap)
         assert gaps[0] > gaps[1] > gaps[2] - 1e-3
+
+
+@pytest.fixture(scope="module")
+def worker_cfg():
+    space = sensor3_space()
+    cov, sch = sensor3_covering_and_schedule(space.states)
+    return SimConfig(
+        space=space, schedule=sch, covering=cov,
+        V=20.0, D=1, window=10, horizon=80, seed=3,
+    )
+
+
+def use_cpus(monkeypatch, n):
+    """Make the process see ``n`` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+TRACE_FIELDS = ("omega", "jstar", "warmup", "m", "p", "q", "avg")
+RESULT_FIELDS = ("mean_p", "final_avg", "warmup", "p", "jstar", "m", "q")
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestWorkers:
+    @pytest.fixture(scope="class")
+    def in_process(self, worker_cfg):
+        """Per run count: the in-process result and every streamed trace."""
+        out = {}
+        with pytest.MonkeyPatch.context() as mp:
+            use_cpus(mp, 1)
+            for n in (1, 2, 17, 33, 40):
+                seen = []
+                ens = run_ensemble(worker_cfg, n, on_trace=lambda i, tr: seen.append((i, tr)))
+                out[n] = ens, seen
+        return out
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_runs", [1, 2, 17, 33, 40])
+    def test_bit_identical_to_in_process(self, worker_cfg, in_process, monkeypatch,
+                                         cpus, n_runs):
+        use_cpus(monkeypatch, cpus)
+        assert simulate._worker_count(n_runs) == min(cpus, -(-n_runs // RUN_BLOCK))
+        seen, threads = [], set()
+
+        def on_trace(i, tr):
+            seen.append((i, tr))
+            threads.add(threading.active_count())
+
+        ens = run_ensemble(worker_cfg, n_runs, on_trace=on_trace)
+        assert threads == {1}  # the parent receives on its own thread
+        ref, ref_seen = in_process[n_runs]
+        for name in RESULT_FIELDS:
+            assert same_bits(getattr(ens, name), getattr(ref, name)), name
+        assert (ens.run_count, ens.istar) == (ref.run_count, ref.istar)
+        assert [i for i, _ in seen] == list(range(n_runs))
+        for (_, tr), (_, ref_tr) in zip(seen, ref_seen):
+            for name in TRACE_FIELDS:
+                assert same_bits(getattr(tr, name), getattr(ref_tr, name)), name
+
+    @pytest.mark.parametrize("n_runs", [1, 15, 16, 17, 20, 33, 40, 100, 1000])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_partition(self, n_runs, workers):
+        workers = min(workers, -(-n_runs // RUN_BLOCK))
+        blocks = simulate._partition(n_runs, workers)
+        sizes = [size for _, size in blocks]
+        assert len(blocks) % workers == 0
+        assert len(blocks) >= -(-n_runs // RUN_BLOCK)
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+        assert [first for first, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert sum(sizes) == n_runs
+
+    def test_twenty_runs_split_evenly(self):
+        assert simulate._partition(20, 2) == [(0, 10), (10, 10)]
+
+    def test_worker_exception_keeps_type_and_message(self, worker_cfg, monkeypatch):
+        from driftlab.config import ConfigError
+
+        use_cpus(monkeypatch, 2)
+        parent = simulate.os.getpid()
+
+        def failing_block(config, first, n):
+            raise ConfigError([f"run {first}", f"pid {simulate.os.getpid()}"])
+
+        monkeypatch.setattr(simulate, "_run_block", failing_block)
+        with pytest.raises(ConfigError) as info:
+            run_ensemble(worker_cfg, 40)
+        first, pid = info.value.errors
+        assert first == "run 0"
+        assert pid != f"pid {parent}"  # raised in a forked worker
+        assert str(info.value) == f"invalid configuration:\n  run 0\n  {pid}"
+        assert not multiprocessing.active_children()
+
+    def test_worker_that_dies_is_reported(self, worker_cfg, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        parent = simulate.os.getpid()
+
+        def dying_block(config, first, n):
+            if simulate.os.getpid() == parent:
+                raise AssertionError("expected to run in a forked worker")
+            simulate.os._exit(7)
+
+        monkeypatch.setattr(simulate, "_run_block", dying_block)
+        with pytest.raises(DriftlabError, match="worker 0 exited with code 7 before sending run 0"):
+            run_ensemble(worker_cfg, 40)
+        assert not multiprocessing.active_children()
+
+    def test_on_trace_exception_stops_every_worker(self, worker_cfg, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        seen = []
+
+        def on_trace(i, tr):
+            seen.append(i)
+            if i == 3:
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            run_ensemble(worker_cfg, 40, on_trace=on_trace)
+        assert seen == [0, 1, 2, 3]
+        assert not multiprocessing.active_children()
