@@ -147,7 +147,6 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
             raise FileNotFoundError(
                 f"missing trace {path}: {cfg.runs} runs expected (run `simulate` first)"
             )
-    sim = cfg.sim()
     K = cfg.space.cost.n_penalties
     n, T = cfg.runs, cfg.horizon
     p = np.empty((n, T, K + 1))
@@ -179,8 +178,8 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
         mean_p=mean / n,
         final_avg=final,
         run_count=n,
-        istar=sim.istar,
-        warmup=sim.warmup_mask(),
+        istar=cfg.istar,
+        warmup=cfg.warmup_mask(),
         p=p,
         jstar=jstar,
         m=ms,
@@ -192,12 +191,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     K = cfg.space.cost.n_penalties
-    sim = cfg.sim()
 
     def writer(i, trace):
         write_trace(trace_path(out, i), trace, cfg.mode)
 
-    ens = run_ensemble(sim, cfg.runs, on_trace=writer, store_runs=False)
+    ens = run_ensemble(cfg, cfg.runs, on_trace=writer, store_runs=False)
     rows = (
         [t] + [ens.mean_p[t, k] for k in range(K + 1)] for t in range(cfg.horizon)
     )
@@ -230,7 +228,7 @@ def cmd_lp(cfg: ExperimentConfig) -> int:
 
 def _bound_context(cfg: ExperimentConfig) -> dict:
     """The bound inputs that do not depend on the window or the delay."""
-    inst = instance_for(cfg.space, cfg.covering.members[cfg.sim().istar])
+    inst = instance_for(cfg.space, cfg.covering.members[cfg.istar])
     gap = gap_delta(cfg.schedule.limit, cfg.covering, cfg.space.cost, cfg.nu)
     grid = sorted({0.0, gap} | set(np.linspace(0.0, max(2 * gap, 0.1), 9)))
     drift, b_series = nonstationarity_series(cfg.schedule, cfg.space, cfg.horizon)
@@ -240,12 +238,9 @@ def _bound_context(cfg: ExperimentConfig) -> dict:
 
 def _detection_series(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """(div, pe) under the window and the delay of ``cfg``."""
-    sim = cfg.sim()
-    div = divergence_window_series(
-        cfg.schedule, cfg.covering, sim.istar, cfg.delay, sim.windows
-    )
+    div = divergence_window_series(cfg.schedule, cfg.covering, cfg.istar, cfg.D, cfg.windows)
     pe = pe_sequence(
-        cfg.delay, sim.windows, cfg.covering.zeta, div, cfg.covering.size, cfg.mode,
+        cfg.D, cfg.windows, cfg.covering.zeta, div, cfg.covering.size, cfg.mode,
     )
     return div, pe
 
@@ -256,10 +251,10 @@ def _inputs_at(cfg: ExperimentConfig, ctx: dict, pe: np.ndarray, t: int,
     cost = cfg.space.cost
     alpha_t, u_t, v_t = blocking_constants(t)
     jbar, hbar = jbar_ht(
-        t, ctx["drift"], ctx["b_series"], cost.p_max, cfg.covering.delta, cfg.delay
+        t, ctx["drift"], ctx["b_series"], cost.p_max, cfg.covering.delta, cfg.D
     )
     inputs = BoundInputs(
-        t=t, alpha_t=alpha_t, u_t=u_t, v_t=v_t, V=cfg.V, D=cfg.delay,
+        t=t, alpha_t=alpha_t, u_t=u_t, v_t=v_t, V=cfg.V, D=cfg.D,
         lyapunov_cap=cfg.lyapunov_cap, F=cfg.space.F,
         n_outcomes=cfg.space.states.total, K=cost.n_penalties,
         M=cfg.covering.size, delta=cfg.covering.delta, zeta=cfg.covering.zeta,
@@ -286,7 +281,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     s_grid = list(cfg.s_sweep) or [5, 40]
     v_grid = list(cfg.v_sweep) or [cfg.V]
     w_grid = list(cfg.w_sweep) or [cfg.window]
-    d_grid = list(cfg.d_sweep) or [cfg.delay]
+    d_grid = list(cfg.d_sweep) or [cfg.D]
     columns = (
         ["t", "V", "D", "w", "alpha_t", "u_t", "v_t", "delta", "zeta", "c_hat",
          "gap", "jbar", "hbar", "div_floor", "pe_raw", "pe", "s_t_delta_raw",
@@ -307,7 +302,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
     ctx = _bound_context(cfg)
     rows = []
     for w, D, t_min in grid:
-        sub = replace(cfg, window=w, delay=D)
+        sub = replace(cfg, window=w, D=D)
         div, pe = _detection_series(sub)
         mixing = cfg.kappa is not None and cfg.kappa * max(D, 1) < LOG3
         beta_vals = [
@@ -494,7 +489,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             rows.append([f"beta1_k{k}_s{s}", k, s, "", "", cfg.mode,
                          "estimation-error"])
         elif kap.value is not None and kap.value < LOG3:
-            bb = beta_bound(s, cfg.delay, kap.value, cfg.space.F,
+            bb = beta_bound(s, cfg.D, kap.value, cfg.space.F,
                             cfg.space.states.total, K)
             ok = est.value <= bb + 3 * est.ci_half
             rows.append([f"beta1_k{k}_s{s}", k, s, est.value,
@@ -512,7 +507,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_preset_dump(cfg_path_ignored, out_dir: str) -> int:
+def cmd_preset_dump(out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = dump_preset("sensor3")
@@ -540,7 +535,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "preset-dump":
-        return cmd_preset_dump(args.config, args.out or "out")
+        return cmd_preset_dump(args.out or "out")
 
     flags = {"seed": args.seed, "runs": args.runs, "horizon": args.horizon,
              "out_dir": args.out, "mode": args.mode}

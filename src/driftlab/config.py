@@ -2,7 +2,9 @@
 
 Validation collects every problem (not just the first) and rejects unknown
 keys with a nearest-match suggestion.  Probabilities may be given as decimal
-strings; they parse to binary floats with round-to-nearest.
+strings; they parse to binary floats with round-to-nearest.  The loaded
+``ExperimentConfig`` is the validated ``SimConfig`` the stages run, so what it
+implies (``istar``, ``windows``, ``cdf``, ``candidates``) is derived once.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -62,16 +64,10 @@ SCHEDULE_KEYS = {"preset", "kind", "rho", "start", "limit", "segments"}
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    space: StrategySpace
-    covering: CoveringSet
-    schedule: Schedule
-    V: float
-    delay: int
-    window: int
-    horizon: int
+class ExperimentConfig(SimConfig):
+    """A document's ``SimConfig`` plus the CLI stages' fields; key ``delay`` is ``D``."""
+
     runs: int
-    seed: int
     mode: str
     out_dir: str
     nu: float
@@ -82,21 +78,10 @@ class ExperimentConfig:
     w_sweep: tuple[int, ...]
     s_sweep: tuple[int, ...]
     d_sweep: tuple[int, ...]
-    preset: str | None = None
 
     def sim(self, **overrides: Any) -> SimConfig:
-        values = dict(
-            space=self.space,
-            schedule=self.schedule,
-            covering=self.covering,
-            V=self.V,
-            D=self.delay,
-            window=self.window,
-            horizon=self.horizon,
-            seed=self.seed,
-        )
-        values.update(overrides)
-        return SimConfig(**values)
+        """This config, or a copy with ``overrides`` replaced."""
+        return replace(self, **overrides) if overrides else self
 
 
 def _unknown(keys, allowed, path, errors):
@@ -142,17 +127,26 @@ def _dist(raw, label, errors) -> FiniteDistribution | None:
         return None
 
 
+def _is_object(block, path, errors) -> bool:
+    if not isinstance(block, dict):
+        errors.append(f"{path}: expected an object, got {block!r}")
+    return isinstance(block, dict)
+
+
 def _build_covering(block, errors) -> CoveringSet | None:
+    if not _is_object(block, "covering", errors):
+        return None
     _unknown(block, COVERING_KEYS, "covering", errors)
+    raw_members = block.get("members")
+    if not isinstance(raw_members, (list, tuple)) or not raw_members:
+        errors.append(f"covering.members: expected a non-empty list, got {raw_members!r}")
+        return None
     members = []
-    for i, raw in enumerate(block.get("members", [])):
+    for i, raw in enumerate(raw_members):
         d = _dist(raw, f"covering.members[{i}]", errors)
         if d is None:
             return None
         members.append(d)
-    if not members:
-        errors.append("covering.members: missing or empty")
-        return None
     delta = _number(block, "delta", errors, "covering.", required=True)
     alpha = _number(block, "alpha_delta", errors, "covering.", required=True)
     beta = _number(block, "beta_delta", errors, "covering.", required=True)
@@ -168,6 +162,8 @@ def _build_covering(block, errors) -> CoveringSet | None:
 
 
 def _build_schedule(block, errors) -> Schedule | None:
+    if not _is_object(block, "schedule", errors):
+        return None
     _unknown(block, SCHEDULE_KEYS, "schedule", errors)
     kind = block.get("kind")
     limit = _dist(block.get("limit", []), "schedule.limit", errors)
@@ -183,6 +179,10 @@ def _build_schedule(block, errors) -> Schedule | None:
         if kind == "piecewise":
             segments = []
             for i, seg in enumerate(block.get("segments", [])):
+                if not isinstance(seg, (list, tuple)) or len(seg) != 2:
+                    errors.append(f"schedule.segments[{i}]: expected a "
+                                  f"[start, probabilities] pair, got {seg!r}")
+                    return None
                 start_slot = _as_int(seg[0])
                 d = _dist(seg[1], f"schedule.segments[{i}]", errors)
                 if d is None:
@@ -197,6 +197,8 @@ def _build_schedule(block, errors) -> Schedule | None:
 
 
 def _build_cost(block, errors) -> CostModel | None:
+    if not _is_object(block, "cost", errors):
+        return None
     _unknown(block, COST_KEYS, "cost", errors)
     tables = block.get("tables")
     if tables is None:
@@ -206,7 +208,7 @@ def _build_cost(block, errors) -> CostModel | None:
         arr = np.array(tables, dtype=np.float64)
         c = np.array(block.get("constraints", []), dtype=np.float64)
         return CostModel(tables=arr, c=c)
-    except (ValueError, ConfigurationError) as exc:
+    except (TypeError, ValueError, ConfigurationError) as exc:
         errors.append(f"cost: {exc}")
         return None
 
@@ -283,8 +285,7 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
     if doc.get("kappa") is not None:
         kappa = _number(doc, "kappa", errors)
     sweep = doc.get("sweep", {})
-    if not isinstance(sweep, dict):
-        errors.append("sweep: must be an object")
+    if not _is_object(sweep, "sweep", errors):
         sweep = {}
     _unknown(sweep, SWEEP_RULES, "sweep", errors)
     sweeps = {}
@@ -314,13 +315,12 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(errors)
     cfg = ExperimentConfig(
         space=space, covering=covering, schedule=schedule,
-        V=V, delay=delay, window=window, horizon=horizon, runs=runs,
+        V=V, D=delay, window=window, horizon=horizon, runs=runs,
         seed=seed, mode=mode, out_dir=out_dir,
-        nu=nu, lyapunov_cap=cap, eps=eps, kappa=kappa,
-        preset=preset, **sweeps,
+        nu=nu, lyapunov_cap=cap, eps=eps, kappa=kappa, **sweeps,
     )
     try:
-        cfg.sim().validate()
+        cfg.validate()
     except ConfigurationError as exc:
         raise ConfigError([str(exc)]) from exc
     return cfg
@@ -348,25 +348,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def dump_preset(name: str = "sensor3") -> dict:
-    """Fully explicit config document for a named preset."""
-    if name != "sensor3":
-        raise ConfigurationError(f"unknown preset {name!r}")
-    actions, states, cost = sensor3_model()
-    covering, schedule = sensor3_covering_and_schedule(states)
+    """Fully explicit config document for a named preset: its loaded config,
+    field by field."""
+    cfg = config_from_dict({"preset": name})
+    cost, covering, schedule = cfg.space.cost, cfg.covering, cfg.schedule
     return {
         "preset": None,
-        "seed": 1,
-        "runs": SENSOR3_DEFAULTS["runs"],
-        "horizon": SENSOR3_DEFAULTS["horizon"],
-        "V": SENSOR3_DEFAULTS["V"],
-        "delay": SENSOR3_DEFAULTS["delay"],
-        "window": SENSOR3_DEFAULTS["window"],
-        "mode": MODE_DEFAULT,
-        "out_dir": "out",
-        "nu": SENSOR3_DEFAULTS["nu"],
-        "lyapunov_cap": SENSOR3_DEFAULTS["lyapunov_cap"],
-        "state_space": list(states.per_user_cardinalities),
-        "action_space": list(actions.per_user_action_counts),
+        "seed": cfg.seed,
+        "runs": cfg.runs,
+        "horizon": cfg.horizon,
+        "V": cfg.V,
+        "delay": cfg.D,
+        "window": cfg.window,
+        "mode": cfg.mode,
+        "out_dir": cfg.out_dir,
+        "nu": cfg.nu,
+        "lyapunov_cap": cfg.lyapunov_cap,
+        "state_space": list(cfg.space.states.per_user_cardinalities),
+        "action_space": list(cfg.space.actions.per_user_action_counts),
         "cost": {
             "tables": cost.tables.tolist(),
             "constraints": cost.c.tolist(),
@@ -384,9 +383,9 @@ def dump_preset(name: str = "sensor3") -> dict:
             "limit": schedule.limit.probs.tolist(),
         },
         "sweep": {
-            "V": SENSOR3_DEFAULTS["v_sweep"],
-            "w": SENSOR3_DEFAULTS["w_sweep"],
-            "s": SENSOR3_DEFAULTS["s_sweep"],
-            "D": SENSOR3_DEFAULTS["d_sweep"],
+            "V": list(cfg.v_sweep),
+            "w": list(cfg.w_sweep),
+            "s": list(cfg.s_sweep),
+            "D": list(cfg.d_sweep),
         },
     }

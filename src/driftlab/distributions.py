@@ -35,6 +35,8 @@ class FiniteDistribution:
         object.__setattr__(self, "probs", p)
         if p.size == 0:
             raise ConfigurationError("distribution must have at least one outcome")
+        if not np.isfinite(p).all():
+            raise ConfigurationError(f"non-finite probability entry {p[~np.isfinite(p)][0]}")
         if np.any(p < 0):
             raise ConfigurationError(f"negative probability entry: min={p.min()!r}")
         total = float(p.sum())

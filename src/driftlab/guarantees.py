@@ -44,6 +44,15 @@ def mcdiarmid_tail(eps: float, c_list: Sequence[float]) -> float:
     return math.exp(-2.0 * eps * eps / float(np.sum(c * c)))
 
 
+def _detection_bound(zeta: float, div: float, w: int, M: int, mode: str) -> float:
+    """M exp(-phi), the detection-error bound of a w-sample window at divergence div."""
+    if mode == MODE_LITERAL:
+        phi = 2.0 * zeta * div * div * w
+    else:
+        phi = 2.0 * div * div * w / zeta
+    return math.exp(-phi + math.log(M))
+
+
 def pe_upper(
     tau: int,
     D: int,
@@ -64,11 +73,7 @@ def pe_upper(
         raise ConfigurationError(f"M must be >= 1, got {M}")
     if tau <= D + w_tau - 1:
         return 1.0 / M
-    if mode == MODE_LITERAL:
-        expo = -2.0 * zeta * div_tau * div_tau * w_tau
-    else:
-        expo = -2.0 * div_tau * div_tau * w_tau / zeta
-    return math.exp(expo + math.log(M))
+    return _detection_bound(zeta, div_tau, w_tau, M, mode)
 
 
 def s_t_delta(
@@ -84,11 +89,7 @@ def s_t_delta(
     _check_mode(mode)
     if n_min_window < 1:
         raise DomainError(f"minimum window must be >= 1, got {n_min_window}")
-    if mode == MODE_LITERAL:
-        phi = 2.0 * zeta * min_divergence * min_divergence * n_min_window
-    else:
-        phi = 2.0 * min_divergence * min_divergence * n_min_window / zeta
-    s = math.exp(-phi + math.log(M))
+    s = _detection_bound(zeta, min_divergence, n_min_window, M, mode)
     return s, (t - alpha_t) * s
 
 

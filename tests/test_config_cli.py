@@ -1,15 +1,16 @@
 import json
 import pickle
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftlab import cli
+from driftlab import cli, simulate
 from driftlab.cli import blocking_constants, fmt, main, read_traces
 from driftlab.config import ConfigError, config_from_dict, dump_preset, load_config
 from driftlab.errors import DriftlabError
-from driftlab.simulate import run_ensemble
+from driftlab.simulate import SimConfig, run_ensemble
 
 
 def write_doc(tmp_path, doc, name="cfg.json"):
@@ -91,9 +92,30 @@ class TestConfig:
     def test_dump_round_trips(self):
         cfg = config_from_dict(dump_preset())
         base = config_from_dict({"preset": "sensor3"})
-        assert cfg.space.F == base.space.F
-        assert np.allclose(cfg.covering.prob_matrix, base.covering.prob_matrix)
-        assert cfg.covering.delta == base.covering.delta
+        for f in fields(base):
+            if f.name not in ("space", "covering", "schedule"):
+                assert getattr(cfg, f.name) == getattr(base, f.name), f.name
+        assert np.array_equal(cfg.space.cost.tables, base.space.cost.tables)
+        assert np.array_equal(cfg.space.cost.c, base.space.cost.c)
+        assert np.array_equal(cfg.covering.prob_matrix, base.covering.prob_matrix)
+        for name in ("delta", "alpha_delta", "beta_delta"):
+            assert getattr(cfg.covering, name) == getattr(base.covering, name)
+        assert np.array_equal(cfg.schedule.limit.probs, base.schedule.limit.probs)
+        assert np.array_equal(cfg.schedule.start.probs, base.schedule.start.probs)
+        assert cfg.schedule.rho == base.schedule.rho
+
+    def test_loaded_config_is_the_sim_config(self):
+        cfg = config_from_dict({"preset": "sensor3", "delay": 2})
+        assert isinstance(cfg, SimConfig)
+        assert cfg.sim() is cfg
+        assert cfg.D == 2
+
+    def test_sim_overrides_copy_one_field(self):
+        cfg = config_from_dict({"preset": "sensor3"})
+        other = cfg.sim(V=2.0)
+        assert (other.V, cfg.V) == (2.0, 20.0)
+        assert [f.name for f in fields(cfg)
+                if getattr(other, f.name) is not getattr(cfg, f.name)] == ["V"]
 
     def test_explicit_custom_model(self):
         doc = {
@@ -342,6 +364,42 @@ class TestCli:
         assert files_a == files_b
         for name in files_a:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("field", ["schedule.limit", "covering.members[3]"])
+    def test_nan_probability_exit_code(self, tmp_path, capsys, field):
+        doc = dump_preset()
+        if field == "schedule.limit":
+            doc["schedule"]["limit"][0] = float("nan")
+        else:
+            doc["covering"]["members"][3][5] = "nan"
+        p = write_doc(tmp_path, doc)
+        assert main(["lp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"\n  {field}: non-finite probability entry nan" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("block, value, message", [
+        ("covering", 5, "covering: expected an object, got 5"),
+        ("cost", 5, "cost: expected an object, got 5"),
+        ("schedule", 5, "schedule: expected an object, got 5"),
+        ("schedule", {"kind": "piecewise", "segments": [{"a": 1}]},
+         "schedule.segments[0]: expected a [start, probabilities] pair, got {'a': 1}"),
+    ])
+    def test_malformed_block_exit_code(self, tmp_path, capsys, block, value, message):
+        doc = dump_preset()
+        doc[block] = {**doc[block], **value} if isinstance(value, dict) else value
+        p = write_doc(tmp_path, doc)
+        assert main(["lp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"\n  {message}" in capsys.readouterr().err
+
+    def test_compare_finds_the_limit_member_once(self, tmp_path, monkeypatch):
+        argv = ["--out", str(tmp_path / "o"), "--runs", "2", "--horizon", "60"]
+        assert main(["simulate"] + argv) == 0
+        nearest = simulate.nearest_member
+        calls = []
+        monkeypatch.setattr(simulate, "nearest_member",
+                            lambda *a, **k: calls.append(1) or nearest(*a, **k))
+        assert main(["compare"] + argv) == 0
+        assert len(calls) == 1  # read_traces, the bound context and pe share istar
 
     def test_preset_dump(self, tmp_path):
         out = str(tmp_path / "o")

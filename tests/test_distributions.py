@@ -50,6 +50,13 @@ class TestFiniteDistribution:
         with pytest.raises(ConfigurationError):
             dist(0.5, 0.4)
 
+    @pytest.mark.parametrize("probs", [[float("nan"), 1.0], [1.0, float("nan")],
+                                       [float("inf"), 1.0]])
+    def test_rejects_non_finite(self, probs):
+        # a NaN entry makes the sum NaN, which no tolerance comparison rejects
+        with pytest.raises(ConfigurationError, match="non-finite probability"):
+            F(np.array(probs))
+
     def test_immutable(self):
         d = dist(0.5, 0.5)
         with pytest.raises(ValueError):

@@ -92,6 +92,12 @@ class TestSTDelta:
         s2, _ = s_t_delta(100, 10, 2.0, 0.3, 40, 8)
         assert s2 / 8 == pytest.approx((s1 / 8) ** 2, rel=1e-10)
 
+    @pytest.mark.parametrize("mode", [MODE_DEFAULT, MODE_LITERAL])
+    def test_same_formula_as_pe_upper_past_warmup(self, mode):
+        for zeta, div, w in ((2.0, 0.3, 20), (0.7, 0.05, 120), (3.0, 0.0, 1)):
+            s, _ = s_t_delta(500, 10, zeta, div, w, 8, mode)
+            assert s == pe_upper(400, 2, w, zeta, div, 8, mode)
+
     def test_interval_bound_dominates_slot_sum(self):
         space = sensor3_space()
         cov, sch = sensor3_covering_and_schedule(space.states)
