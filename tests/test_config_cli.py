@@ -95,6 +95,11 @@ class TestConfig:
         for f in fields(base):
             if f.name not in ("space", "covering", "schedule"):
                 assert getattr(cfg, f.name) == getattr(base, f.name), f.name
+        assert cfg.space.F == base.space.F
+        assert (cfg.space.states.per_user_cardinalities
+                == base.space.states.per_user_cardinalities)
+        assert (cfg.space.actions.per_user_action_counts
+                == base.space.actions.per_user_action_counts)
         assert np.array_equal(cfg.space.cost.tables, base.space.cost.tables)
         assert np.array_equal(cfg.space.cost.c, base.space.cost.c)
         assert np.array_equal(cfg.covering.prob_matrix, base.covering.prob_matrix)
