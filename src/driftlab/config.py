@@ -152,6 +152,12 @@ def _build_covering(block, errors) -> CoveringSet | None:
     beta = _number(block, "beta_delta", errors, "covering.", required=True)
     if None in (delta, alpha, beta):
         return None
+    bad = [f"covering.{name}: must be finite, got {value}"
+           for name, value in (("delta", delta), ("alpha_delta", alpha),
+                               ("beta_delta", beta)) if not math.isfinite(value)]
+    if bad:
+        errors += bad
+        return None
     try:
         return CoveringSet(
             members=tuple(members), delta=delta, alpha_delta=alpha, beta_delta=beta
@@ -300,8 +306,9 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
         )
         errors += [f"sweep.{key}[{i}]: must be {rule}, got {v}"
                    for i, v in enumerate(vals) if v is not None and not ok(v)]
-    if V is not None and not math.isfinite(V):
-        errors.append(f"V: must be finite, got {V}")
+    errors += [f"{name}: must be finite, got {value}" for name, value in (
+        ("V", V), ("nu", nu), ("lyapunov_cap", cap), ("eps", eps), ("kappa", kappa),
+    ) if value is not None and not math.isfinite(value)]
     for name, value, low in (
         ("seed", seed, 0), ("runs", runs, 1), ("horizon", horizon, 1),
         ("window", window, 1), ("delay", delay, 0), ("V", V, 0.0),

@@ -38,7 +38,7 @@ class FiniteDistribution:
         if not np.isfinite(p).all():
             raise ConfigurationError(f"non-finite probability entry {p[~np.isfinite(p)][0]}")
         if np.any(p < 0):
-            raise ConfigurationError(f"negative probability entry: min={p.min()!r}")
+            raise ConfigurationError(f"negative probability entry: min={float(p.min())}")
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ConfigurationError(

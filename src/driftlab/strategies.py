@@ -195,6 +195,30 @@ class CostModel:
         return _freeze(np.maximum(np.abs(self.p_max), np.abs(self.p_min)))
 
 
+def cover_rows(table: np.ndarray) -> np.ndarray:
+    """Ascending ids of rows of ``table`` such that every row is <= one of
+    them elementwise.
+
+    Max-sum sweep: keep the alive row with the largest sum (lowest id on
+    ties) and drop every alive row <= it.  Once a kept row drops only
+    itself, keep every row still alive: a superset gives the same maxima,
+    and the cost on a table with nothing to drop stays at about one pass.
+    """
+    sums = table.sum(axis=1)
+    alive = np.arange(table.shape[0])
+    kept = []
+    while alive.size:
+        top = alive[np.argmax(sums[alive])]
+        dropped = (table[alive] <= table[top]).all(axis=1)
+        if dropped.sum() == 1:
+            break
+        kept.append(top)
+        alive = alive[~dropped]
+    ids = np.sort(np.concatenate([np.array(kept, dtype=alive.dtype), alive]))
+    ids.setflags(write=False)
+    return ids
+
+
 class StrategySpace:
     """Full enumeration of pure strategies with cached realized costs.
 
@@ -262,31 +286,26 @@ class StrategySpace:
         return self.realized @ lam.probs
 
     @cached_property
-    def _penalty_sq(self) -> np.ndarray:
-        # sum_k (p_k - c_k)^2 per (strategy, state); k runs over penalties only
-        if self.cost.n_penalties == 0:
-            return np.zeros((self.F, self.states.total))
+    def curvature_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, rows)``: the ``cover_rows`` of the (F, |Omega|) table of
+        sum_k (p_k - c_k)^2, and those rows.  Rows and schedule weights are
+        non-negative, so a row <= another row never sets the max in
+        ``b_value``."""
         diff = self.realized[1:] - self.cost.c[:, None, None]
-        return np.einsum("kfs,kfs->fs", diff, diff)
+        sq = np.einsum("kfs,kfs->fs", diff, diff)
+        ids = cover_rows(sq)
+        return ids, _freeze(sq[ids])
 
     def b_value(self, pi: FiniteDistribution) -> float:
         """Curvature constant: max_m (1/2) sum_k E_pi |p_k - c_k|^2."""
         self._check_dist(pi)
-        if self.cost.n_penalties == 0:
-            return 0.0
-        return 0.5 * float(np.max(self._penalty_sq @ pi.probs))
+        return 0.5 * float(np.max(self.curvature_rows[1] @ pi.probs))
 
-    def b_series(self, weights: np.ndarray, chunk: int = 512) -> np.ndarray:
+    def b_series(self, weights: np.ndarray) -> np.ndarray:
         """b_value evaluated along a (T, |Omega|) matrix of schedule rows."""
         if weights.ndim != 2 or weights.shape[1] != self.states.total:
             raise DimensionError("weights matrix shape mismatch")
-        if self.cost.n_penalties == 0:
-            return np.zeros(weights.shape[0])
-        out = np.empty(weights.shape[0])
-        for lo in range(0, weights.shape[0], chunk):
-            hi = min(lo + chunk, weights.shape[0])
-            out[lo:hi] = 0.5 * (self._penalty_sq @ weights[lo:hi].T).max(axis=0)
-        return out
+        return 0.5 * (self.curvature_rows[1] @ weights.T).max(axis=0)
 
     def _check_dist(self, lam: FiniteDistribution) -> None:
         if len(lam) != self.states.total:

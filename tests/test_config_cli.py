@@ -298,6 +298,18 @@ class TestCli:
         assert len(calls) == 5
         assert len(rows) == 64 and rows == single
 
+    def test_bench_sweep_bounds_match_reference(self, tmp_path):
+        # the sweep of the sensor3-bound-sweep benchmark; its reference file
+        # pins bounds.csv byte for byte
+        reference = Path(__file__).resolve().parents[1] / "bench/reference/bounds_sweep.csv"
+        doc = {"preset": "sensor3", "seed": 0, "sweep": {
+            "V": [2.0, 5.0, 20.0], "w": [10, 40, 160], "D": [0, 1, 2], "s": [5, 40]}}
+        p = write_doc(tmp_path, doc)
+        out = tmp_path / "o"
+        for stage in ("lp", "bounds"):
+            assert main([stage, "--config", str(p), "--out", str(out)]) == 0
+        assert (out / "bounds.csv").read_bytes() == reference.read_bytes()
+
     def test_empirics_reads_only_this_run_count(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         common = ["--out", out, "--horizon", "50"]
@@ -380,6 +392,21 @@ class TestCli:
         p = write_doc(tmp_path, doc)
         assert main(["lp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert f"\n  {field}: non-finite probability entry nan" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["nu", "eps", "kappa", "lyapunov_cap",
+                                       "covering.delta", "covering.alpha_delta",
+                                       "covering.beta_delta"])
+    def test_non_finite_scalar_exit_code(self, tmp_path, capsys, field, value):
+        # NaN nu or covering.delta used to load and put nan in bounds.csv
+        doc = dump_preset()
+        block, _, key = field.rpartition(".")
+        (doc[block] if block else doc)[key] = value
+        p = write_doc(tmp_path, doc)
+        assert main(["bounds", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--horizon", "200"]) == 2
+        assert f"\n  {field}: must be finite, got {value}\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("block, value, message", [

@@ -46,6 +46,11 @@ class TestFiniteDistribution:
         with pytest.raises(ConfigurationError):
             dist(1.2, -0.2)
 
+    def test_negative_entry_message_is_a_plain_float(self):
+        with pytest.raises(ConfigurationError) as info:
+            dist(1.1, -0.1)
+        assert str(info.value) == "negative probability entry: min=-0.1"
+
     def test_rejects_bad_sum(self):
         with pytest.raises(ConfigurationError):
             dist(0.5, 0.4)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _helpers import sensor_tables
 from driftlab import ConfigurationError, DimensionError, DomainError, FiniteDistribution
@@ -10,6 +13,7 @@ from driftlab.strategies import (
     PureStrategy,
     StrategySpace,
     apply_strategy,
+    cover_rows,
     decode_strategy,
     encode_strategy,
     strategy_count,
@@ -190,6 +194,7 @@ class TestBt:
         cost = CostModel(tables=np.ones((1, 2, 3)), c=np.zeros(0))
         space = StrategySpace(actions, states, cost)
         assert space.b_value(FiniteDistribution.uniform(3)) == 0.0
+        assert space.b_series(np.full((4, 3), 1 / 3)).tolist() == [0.0] * 4
 
     def test_penalty_at_constraint(self):
         actions = ActionModel((2,))
@@ -227,8 +232,73 @@ class TestBt:
         rng = np.random.default_rng(4)
         raw = rng.random((7, states.total))
         weights = raw / raw.sum(axis=1, keepdims=True)
-        series = space.b_series(weights, chunk=3)
+        series = space.b_series(weights)
         for t in range(7):
             assert series[t] == pytest.approx(
                 space.b_value(FiniteDistribution(weights[t])), abs=1e-12
             )
+
+
+def _full_b_series(space, weights):
+    diff = space.realized[1:] - space.cost.c[:, None, None]
+    sq = (diff**2).sum(axis=0)
+    return sq, 0.5 * (sq @ weights.T).max(axis=0)
+
+
+def _assert_covered(table, ids):
+    kept = table[ids]
+    for row in table:
+        assert (row <= kept).all(axis=1).any()
+
+
+@st.composite
+def small_spaces(draw):
+    """Two users with 1-2 actions and 1-2 local states, K in 0..2 penalties
+    and small integer costs: F <= 16, with duplicate and tied rows."""
+    actions = ActionModel(tuple(draw(st.integers(1, 2)) for _ in range(2)))
+    states = ProductStateSpace(tuple(draw(st.integers(1, 2)) for _ in range(2)))
+    K = draw(st.integers(0, 2))
+    tables = draw(arrays(np.int64, (K + 1, actions.total, states.total),
+                         elements=st.integers(0, 3)))
+    c = draw(arrays(np.int64, (K,), elements=st.integers(0, 2)))
+    weights = draw(arrays(np.int64, (3, states.total), elements=st.integers(0, 4)))
+    weights[:, 0] += 1  # no all-zero row
+    space = StrategySpace(actions, states, CostModel(tables=tables, c=c))
+    return space, weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestCurvatureRows:
+    @given(arrays(np.int64, st.tuples(st.integers(1, 12), st.integers(1, 4)),
+                  elements=st.integers(0, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_is_under_a_kept_row(self, table):
+        ids = cover_rows(table)
+        assert ids.tolist() == sorted(set(ids.tolist()))
+        _assert_covered(table, ids)
+
+    def test_no_dominated_row_keeps_all_after_one_pass(self):
+        # an antichain: the first kept row drops only itself, so the sweep stops
+        table = np.array([[3, 0, 1], [0, 3, 1], [1, 1, 2], [2, 2, 0]])
+        assert cover_rows(table).tolist() == [0, 1, 2, 3]
+
+    @given(small_spaces())
+    @settings(max_examples=300, deadline=None)
+    def test_b_series_equals_full_table_max(self, case):
+        space, weights = case
+        sq, expected = _full_b_series(space, weights)
+        ids, rows = space.curvature_rows
+        _assert_covered(sq, ids)
+        np.testing.assert_array_equal(rows, sq[ids])
+        np.testing.assert_allclose(space.b_series(weights), expected, rtol=1e-13)
+
+    def test_sensor3_keeps_only_the_top_strategy(self):
+        actions, states, cost = sensor_tables()
+        space = StrategySpace(actions, states, cost)
+        ids, rows = space.curvature_rows
+        assert ids.tolist() == [4095]
+        rng = np.random.default_rng(5)
+        raw = rng.random((50, states.total))
+        weights = raw / raw.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(
+            space.b_series(weights), _full_b_series(space, weights)[1], rtol=1e-13
+        )
