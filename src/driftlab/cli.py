@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config
 from .config import ConfigError, ExperimentConfig, dump_preset
-from .errors import DriftlabError, EstimationError
+from .errors import DomainError, DriftlabError, EstimationError
 from .estimators import (
     error_rate,
     estimate_beta1,
@@ -33,6 +33,7 @@ from .guarantees import (
     clamp01,
     divergence_window_series,
     jbar_ht,
+    log_ratio_prefix,
     nonstationarity_series,
     pac_rhs,
     pe_sequence,
@@ -40,7 +41,7 @@ from .guarantees import (
     s_t_delta,
     threshold_check,
 )
-from .lp import gap_delta, instance_for, lipschitz_probe, solve_lp
+from .lp import candidate_instance, gap_delta, instance_for, lipschitz_probe, solve_lp
 from .simulate import EnsembleResult, run_ensemble
 
 THETA_EPS = 1e-12
@@ -223,22 +224,45 @@ def cmd_lp(cfg: ExperimentConfig) -> int:
         ]
     write_csv(out / "lp.csv", cfg.mode, ["kind", "index", "value"], rows)
     print(f"lp optimum: {fmt(sol.value)} ({sol.status}); wrote {out / 'lp.csv'}")
-    return 0 if sol.status == "optimal" else 1
+    if sol.status != "optimal":
+        raise DriftlabError(
+            f"lp: the LP under the schedule's limit distribution has no optimum "
+            f"(status {sol.status}); wrote {out / 'lp.csv'}"
+        )
+    return 0
 
 
 def _bound_context(cfg: ExperimentConfig) -> dict:
-    """The bound inputs that do not depend on the window or the delay."""
-    inst = instance_for(cfg.space, cfg.covering.members[cfg.istar])
+    """The bound inputs that do not depend on the window or the delay.
+
+    The LPs run on the nearest member's candidate columns
+    (``candidate_instance``); one schedule weights matrix feeds the
+    non-stationarity series and the log-ratio prefix sums that every
+    ``(w, D)`` context differences.  Its arrays are read-only.
+    """
+    inst, _ = candidate_instance(instance_for(cfg.space, cfg.covering.members[cfg.istar]))
     gap = gap_delta(cfg.schedule.limit, cfg.covering, cfg.space.cost, cfg.nu)
     grid = sorted({0.0, gap} | set(np.linspace(0.0, max(2 * gap, 0.1), 9)))
-    drift, b_series = nonstationarity_series(cfg.schedule, cfg.space, cfg.horizon)
-    return dict(gap=gap, c_hat=lipschitz_probe(inst, grid), p_opt=solve_lp(inst).value,
-                drift=drift, b_series=b_series)
+    try:
+        c_hat = lipschitz_probe(inst, grid)
+    except DomainError as exc:
+        raise DriftlabError(
+            f"the LP under covering member {cfg.istar} (nearest to the schedule "
+            f"limit) has no feasible mixture at levels c + x: {exc}"
+        ) from exc
+    weights = cfg.schedule.weights_matrix(cfg.horizon)
+    drift, b_series = nonstationarity_series(cfg.schedule, cfg.space, weights)
+    ctx = dict(gap=gap, c_hat=c_hat, p_opt=solve_lp(inst).value, drift=drift,
+               b_series=b_series, prefix=log_ratio_prefix(weights, cfg.covering, cfg.istar))
+    for value in ctx.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return ctx
 
 
-def _detection_series(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+def _detection_series(cfg: ExperimentConfig, ctx: dict) -> tuple[np.ndarray, np.ndarray]:
     """(div, pe) under the window and the delay of ``cfg``."""
-    div = divergence_window_series(cfg.schedule, cfg.covering, cfg.istar, cfg.D, cfg.windows)
+    div = divergence_window_series(ctx["prefix"], cfg.istar, cfg.D, cfg.windows)
     pe = pe_sequence(
         cfg.D, cfg.windows, cfg.covering.zeta, div, cfg.covering.size, cfg.mode,
     )
@@ -273,37 +297,45 @@ def _unless_inapplicable(bound, *args):
         return None
 
 
-def cmd_bounds(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cost = cfg.space.cost
-    K = cost.n_penalties
-    s_grid = list(cfg.s_sweep) or [5, 40]
-    v_grid = list(cfg.v_sweep) or [cfg.V]
-    w_grid = list(cfg.w_sweep) or [cfg.window]
-    d_grid = list(cfg.d_sweep) or [cfg.D]
-    columns = (
-        ["t", "V", "D", "w", "alpha_t", "u_t", "v_t", "delta", "zeta", "c_hat",
-         "gap", "jbar", "hbar", "div_floor", "pe_raw", "pe", "s_t_delta_raw",
-         "s_t_delta", "interval_pe", "psi", "gamma_t", "q_up"]
-        + [f"pac_k{k}_raw" for k in range(K + 1)]
-        + [f"pac_k{k}" for k in range(K + 1)]
-        + [f"beta_bound_s{s}" for s in s_grid]
-        + ["beta_star_raw", "beta_star", "in_waiting_set"]
-    )
-    # the t-grid of each (w, D) starts past its warmup, and at least at 16
-    grid = [(w, D, max(16, D + w + 2)) for w in w_grid for D in d_grid]
+def _bound_grid(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
+    """The swept ``(w, D, t_min)``; the t-grid of each starts past its
+    warmup, and at least at 16."""
+    grid = [(w, D, max(16, D + w + 2))
+            for w in list(cfg.w_sweep) or [cfg.window]
+            for D in list(cfg.d_sweep) or [cfg.D]]
     for w, D, t_min in grid:
         if cfg.horizon < t_min:
             raise DriftlabError(
                 f"bounds: horizon {cfg.horizon} is shorter than the {t_min} slots "
                 f"needed for D={D}, w={w} (t-grid start max(16, D+w+2))"
             )
-    ctx = _bound_context(cfg)
+    return grid
+
+
+def bound_columns(cfg: ExperimentConfig) -> list[str]:
+    """The ``bounds.csv`` header of the sweep of ``cfg``."""
+    K = cfg.space.cost.n_penalties
+    return (
+        ["t", "V", "D", "w", "alpha_t", "u_t", "v_t", "delta", "zeta", "c_hat",
+         "gap", "jbar", "hbar", "div_floor", "pe_raw", "pe", "s_t_delta_raw",
+         "s_t_delta", "interval_pe", "psi", "gamma_t", "q_up"]
+        + [f"pac_k{k}_raw" for k in range(K + 1)]
+        + [f"pac_k{k}" for k in range(K + 1)]
+        + [f"beta_bound_s{s}" for s in list(cfg.s_sweep) or [5, 40]]
+        + ["beta_star_raw", "beta_star", "in_waiting_set"]
+    )
+
+
+def bound_rows(cfg: ExperimentConfig, ctx: dict) -> list[list]:
+    """The ``bounds.csv`` rows (``bound_columns``) of the sweep of ``cfg``,
+    from its ``_bound_context``."""
+    cost = cfg.space.cost
+    K = cost.n_penalties
+    s_grid = list(cfg.s_sweep) or [5, 40]
     rows = []
-    for w, D, t_min in grid:
+    for w, D, t_min in _bound_grid(cfg):
         sub = replace(cfg, window=w, D=D)
-        div, pe = _detection_series(sub)
+        div, pe = _detection_series(sub, ctx)
         mixing = cfg.kappa is not None and cfg.kappa * max(D, 1) < LOG3
         beta_vals = [
             _unless_inapplicable(
@@ -315,7 +347,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
             set(np.geomspace(t_min, cfg.horizon, 8)
                 .astype(int).tolist()) | {cfg.horizon}
         )
-        for V in v_grid:
+        for V in list(cfg.v_sweep) or [cfg.V]:
             vcfg = replace(sub, V=V)
             for t in ts:
                 inputs, pqg = _inputs_at(vcfg, ctx, pe, t, cfg.kappa)
@@ -357,7 +389,15 @@ def cmd_bounds(cfg: ExperimentConfig) -> int:
                     + pac_raw + pac_cl + beta_vals
                     + [bstar, None if bstar is None else clamp01(bstar), waiting]
                 )
-    write_csv(out / "bounds.csv", cfg.mode, columns, rows)
+    return rows
+
+
+def cmd_bounds(cfg: ExperimentConfig) -> int:
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _bound_grid(cfg)  # a horizon too short for the sweep fails before the LPs
+    rows = bound_rows(cfg, _bound_context(cfg))
+    write_csv(out / "bounds.csv", cfg.mode, bound_columns(cfg), rows)
     print(f"wrote {out / 'bounds.csv'} ({len(rows)} rows, mode={cfg.mode})")
     return 0
 
@@ -443,7 +483,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     ens = read_traces(cfg)
     ctx = _bound_context(cfg)
-    _, pe = _detection_series(cfg)
+    _, pe = _detection_series(cfg, ctx)
     cost = cfg.space.cost
     K = cost.n_penalties
     t = cfg.horizon

@@ -44,13 +44,16 @@ def mcdiarmid_tail(eps: float, c_list: Sequence[float]) -> float:
     return math.exp(-2.0 * eps * eps / float(np.sum(c * c)))
 
 
+def _phi(zeta, div, w, mode: str):
+    """Detection exponent of a w-sample window at divergence div (scalars or arrays)."""
+    if mode == MODE_LITERAL:
+        return 2.0 * zeta * div * div * w
+    return 2.0 * div * div * w / zeta
+
+
 def _detection_bound(zeta: float, div: float, w: int, M: int, mode: str) -> float:
     """M exp(-phi), the detection-error bound of a w-sample window at divergence div."""
-    if mode == MODE_LITERAL:
-        phi = 2.0 * zeta * div * div * w
-    else:
-        phi = 2.0 * div * div * w / zeta
-    return math.exp(-phi + math.log(M))
+    return math.exp(-_phi(zeta, div, w, mode) + math.log(M))
 
 
 def pe_upper(
@@ -93,37 +96,43 @@ def s_t_delta(
     return s, (t - alpha_t) * s
 
 
+def log_ratio_prefix(weights: np.ndarray, covering: CoveringSet, istar: int) -> np.ndarray:
+    """(T+1, M) prefix sums over slots of each member's expected log-ratio
+    against member ``istar`` under the (T, |Omega|) schedule ``weights``;
+    row 0 is zero."""
+    logm = covering.log_matrix
+    if not np.all(np.isfinite(logm)):
+        raise DomainError("divergence series needs strictly positive members")
+    per_slot = weights @ (logm - logm[istar]).T  # (T, M)
+    return np.vstack([np.zeros((1, per_slot.shape[1])), np.cumsum(per_slot, axis=0)])
+
+
 def divergence_window_series(
-    schedule: Schedule,
-    covering: CoveringSet,
+    prefix: np.ndarray,
     istar: int,
     D: int,
     windows: np.ndarray,
 ) -> np.ndarray:
     """(T,) smallest wrong-member divergence magnitude per slot.
 
+    ``prefix`` is the schedule's ``log_ratio_prefix`` over the T slots and
     ``windows`` holds each slot's window size (``SimConfig.windows``).  The
     per-slot expected log-ratio is averaged over each slot's delayed
     window; warmup slots (incomplete window) hold NaN since the error bound
     there is the uniform-pick constant.
     """
-    logm = covering.log_matrix
-    if not np.all(np.isfinite(logm)):
-        raise DomainError("divergence series needs strictly positive members")
     w = np.asarray(windows, dtype=np.int64)
     horizon = w.size
-    weights = schedule.weights_matrix(horizon)
-    diff = (logm - logm[istar]).T  # (|Omega|, M)
-    per_slot = weights @ diff  # (T, M)
-    csum = np.vstack([np.zeros((1, per_slot.shape[1])), np.cumsum(per_slot, axis=0)])
+    if prefix.ndim != 2 or prefix.shape[0] != horizon + 1:
+        raise DimensionError(f"prefix sums shaped {prefix.shape} for {horizon} slots")
     out = np.full(horizon, np.nan)
-    wrong = [j for j in range(covering.size) if j != istar]
+    wrong = [j for j in range(prefix.shape[1]) if j != istar]
     if not wrong:
         return out
     tau = np.flatnonzero(np.arange(horizon) > D + w - 1)  # past warmup
     hi = tau - D + 1
     lo = hi - w[tau]
-    avg = (csum[hi] - csum[lo]) / w[tau, None]
+    avg = (prefix[hi] - prefix[lo]) / w[tau, None]
     out[tau] = np.abs(avg[:, wrong]).min(axis=1)
     return out
 
@@ -138,18 +147,29 @@ def pe_sequence(
 ) -> np.ndarray:
     """Raw detection-error bounds for slots 0..T-1, where ``windows`` holds
     each slot's window size (``SimConfig.windows``) and ``div_series`` the
-    same slots' divergence floor."""
-    w_list, d_list = np.asarray(windows).tolist(), div_series.tolist()
-    out = np.empty(len(w_list))
-    for tau, (w, d) in enumerate(zip(w_list, d_list, strict=True)):
-        out[tau] = pe_upper(tau, D, w, zeta, 0.0 if math.isnan(d) else d, M, mode)
+    same slots' divergence floor.
+
+    ``pe_upper`` on every slot, as one array expression: warmup slots hold
+    1/M exactly, and NaN divergence counts as 0.  Past warmup a value may
+    differ from ``pe_upper``'s by 1 ulp (``np.exp`` against ``math.exp``).
+    """
+    _check_mode(mode)
+    if M < 1:
+        raise ConfigurationError(f"M must be >= 1, got {M}")
+    w = np.asarray(windows, dtype=np.int64)
+    div = np.asarray(div_series, dtype=np.float64)
+    if w.shape != div.shape:
+        raise DimensionError(f"windows shaped {w.shape}, divergence series {div.shape}")
+    div = np.where(np.isnan(div), 0.0, div)
+    out = np.exp(-_phi(zeta, div, w, mode) + math.log(M))
+    out[np.arange(w.size) <= D + w - 1] = 1.0 / M
     return out
 
 
-def nonstationarity_series(schedule: Schedule, space: StrategySpace, horizon: int):
-    """Per-slot (drift, b_series) over slots 0..horizon-1: each slot's L1
-    distance from the limit distribution, and its B term."""
-    weights = schedule.weights_matrix(horizon)
+def nonstationarity_series(schedule: Schedule, space: StrategySpace, weights: np.ndarray):
+    """Per-slot (drift, b_series) over the rows of ``weights``, the
+    schedule's ``weights_matrix``: each slot's L1 distance from the limit
+    distribution, and its B term."""
     drift = np.abs(weights - schedule.limit.probs[None, :]).sum(axis=1)
     return drift, space.b_series(weights)
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from driftlab import FiniteDistribution
 from driftlab.distributions import ProductStateSpace
+from driftlab.guarantees import divergence_window_series, log_ratio_prefix
 from driftlab.strategies import ActionModel, CostModel
 
 
@@ -35,3 +36,9 @@ def sensor_limit(states=None):
         w1, w2, w3 = states.decode(w)
         probs[w] = per[w1] * per[w2] * per[w3]
     return FiniteDistribution(probs)
+
+
+def divergence_series(schedule, covering, istar, D, windows):
+    """``divergence_window_series`` over the schedule's first len(windows) slots."""
+    prefix = log_ratio_prefix(schedule.weights_matrix(len(windows)), covering, istar)
+    return divergence_window_series(prefix, istar, D, windows)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference_bounds as ref
+from _helpers import divergence_series
 from driftlab.cli import main
 from driftlab.config import config_from_dict
 from driftlab.errors import DriftlabError
@@ -22,7 +23,6 @@ from driftlab.guarantees import (
     MODE_LITERAL,
     BoundInputs,
     beta_bound,
-    divergence_window_series,
     mcdiarmid_tail,
     pac_rhs,
     pe_sequence,
@@ -131,9 +131,7 @@ def test_criterion_5_detection_bound(bench_cfg, detect_ensembles):
     ok_bound = True
     for w, ens in detect_ensembles.items():
         sim = bench_cfg.sim(window=w, horizon=600)
-        div = divergence_window_series(
-            bench_cfg.schedule, bench_cfg.covering, 0, 0, sim.windows
-        )
+        div = divergence_series(bench_cfg.schedule, bench_cfg.covering, 0, 0, sim.windows)
         pe = np.minimum(
             pe_sequence(0, sim.windows, bench_cfg.covering.zeta, div,
                         bench_cfg.covering.size, MODE_DEFAULT),

@@ -1,6 +1,6 @@
 import json
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +297,45 @@ class TestCli:
                   for row in bounds_rows(f"w{w}_D{D}", [w], [D])]
         assert len(calls) == 5
         assert len(rows) == 64 and rows == single
+
+    @pytest.mark.parametrize("mode", ["default", "literal"])
+    def test_bound_rows_share_one_context(self, mode):
+        # one (w, D) point at a time, reusing the full sweep's context in
+        # reverse order, gives exactly that point's rows of the full sweep
+        cfg = config_from_dict({"preset": "sensor3", "horizon": 400, "kappa": 0.05,
+                                "mode": mode, "sweep": {"V": [2.0, 20.0], "w": [10, 40],
+                                                        "D": [0, 2]}})
+        ctx = cli._bound_context(cfg)
+        full = [list(map(repr, row)) for row in cli.bound_rows(cfg, ctx)]
+        assert len(full) == 64 and len(full[0]) == len(cli.bound_columns(cfg))
+        for w, D in [(40, 2), (40, 0), (10, 2), (10, 0)]:
+            one = replace(cfg, w_sweep=(w,), d_sweep=(D,))
+            rows = [list(map(repr, row)) for row in cli.bound_rows(one, ctx)]
+            assert rows == [row for row in full if row[2:4] == [repr(D), repr(w)]]
+        assert not ctx["prefix"].flags.writeable
+
+    def test_lp_infeasible_exit_code(self, tmp_path, capsys):
+        doc = dump_preset()
+        doc["cost"]["constraints"] = [-1, -1, -1]
+        out = tmp_path / "o"
+        assert main(["lp", "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "limit distribution" in err and "status infeasible" in err
+        assert (out / "lp.csv").read_text().splitlines()[2:] == [
+            "status,,infeasible", "value,,inf"]
+
+    @pytest.mark.parametrize("stage", ["bounds", "compare"])
+    def test_infeasible_bound_lp_names_the_member(self, tmp_path, capsys, stage):
+        doc = dump_preset()
+        doc["cost"]["constraints"] = [-1, -1, -1]
+        argv = ["--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "o"),
+                "--runs", "1", "--horizon", "60"]
+        if stage == "compare":
+            assert main(["simulate"] + argv) == 0
+        assert main([stage] + argv) == 4
+        err = capsys.readouterr().err
+        assert "covering member 0 (nearest to the schedule limit)" in err
+        assert "no feasible mixture at levels c + x" in err and "x=0.0" in err
 
     def test_bench_sweep_bounds_match_reference(self, tmp_path):
         # the sweep of the sensor3-bound-sweep benchmark; its reference file

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_bounds as ref
-from _helpers import sensor_limit
-from driftlab import DomainError, GeometricSchedule, divergence, stationary
+from _helpers import divergence_series, sensor_limit
+from driftlab import (
+    ConfigurationError,
+    DimensionError,
+    DomainError,
+    GeometricSchedule,
+    divergence,
+    stationary,
+)
 from driftlab.guarantees import (
     MODE_DEFAULT,
     MODE_LITERAL,
@@ -15,6 +24,7 @@ from driftlab.guarantees import (
     clamp01,
     divergence_window_series,
     jbar_ht,
+    log_ratio_prefix,
     mcdiarmid_tail,
     nonstationarity_series,
     pac_rhs,
@@ -102,7 +112,7 @@ class TestSTDelta:
         space = sensor3_space()
         cov, sch = sensor3_covering_and_schedule(space.states)
         t, alpha, w = 400, 100, 40
-        div = divergence_window_series(sch, cov, 0, 0, np.full(t, w))
+        div = divergence_series(sch, cov, 0, 0, np.full(t, w))
         pe = pe_sequence(0, np.full(t, w), cov.zeta, div, cov.size)
         slot_sum = pe[alpha:t].sum()
         min_div = np.nanmin(np.abs(div[alpha:t]))
@@ -110,11 +120,81 @@ class TestSTDelta:
         assert slot_sum <= interval + 1e-12
 
 
+def ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance in units in the last place between non-negative floats."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def pe_per_slot(D, windows, zeta, div, M, mode):
+    return np.array([
+        pe_upper(tau, D, w, zeta, 0.0 if math.isnan(d) else d, M, mode)
+        for tau, (w, d) in enumerate(zip(windows.tolist(), div.tolist()))
+    ])
+
+
+class TestPeSequence:
+    """The array ``pe_sequence`` against ``pe_upper`` slot by slot."""
+
+    @staticmethod
+    def check(D, windows, zeta, div, M, mode):
+        pe = pe_sequence(D, windows, zeta, div, M, mode)
+        ref = pe_per_slot(D, windows, zeta, div, M, mode)
+        warm = np.arange(windows.size) <= D + windows - 1
+        assert (pe[warm] == 1.0 / M).all()
+        assert (ulps_apart(pe, ref) <= 1).all()
+        return pe
+
+    @pytest.mark.parametrize("mode", [MODE_DEFAULT, MODE_LITERAL])
+    @pytest.mark.parametrize("D", [0, 3])
+    @pytest.mark.parametrize("window", ["fixed", "callable"])
+    def test_sensor3_series_within_one_ulp(self, mode, D, window):
+        space = sensor3_space()
+        cov, sch = sensor3_covering_and_schedule(space.states)
+
+        def w_at(t):
+            return 40 if window == "fixed" or t < 50 else 10 + t % 31
+
+        windows = np.array([w_at(t) for t in range(600)])
+        div = divergence_series(sch, cov, 0, D, windows)
+        pe = self.check(D, windows, cov.zeta, div, cov.size, mode)
+        assert (pe[np.isfinite(div)] != 1.0 / cov.size).all()
+
+    @given(
+        st.lists(st.one_of(st.floats(0.0, 2.0), st.just(math.nan)), min_size=1, max_size=60),
+        st.integers(1, 12), st.integers(0, 4), st.integers(1, 9),
+        st.floats(0.05, 60.0), st.sampled_from([MODE_DEFAULT, MODE_LITERAL]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_series_within_one_ulp(self, div, w, D, M, zeta, mode):
+        div = np.array(div)
+        windows = (w + np.arange(div.size) % 3).astype(np.int64)
+        self.check(D, windows, zeta, div, M, mode)
+
+    def test_nan_divergence_counts_as_zero(self):
+        div = np.array([np.nan, np.nan, np.nan, 0.0, np.nan, 0.3])
+        windows = np.full(6, 2)
+        pe = self.check(0, windows, 2.0, div, 4, MODE_DEFAULT)
+        assert pe[4] == pe[3] == 4.0
+
+    def test_one_member(self):
+        pe = self.check(1, np.full(5, 2), 2.0, np.full(5, 0.5), 1, MODE_LITERAL)
+        assert (pe[:3] == 1.0).all() and (pe[3:] < 1.0).all()
+
+    def test_rejects_bad_mode_and_m(self):
+        div, windows = np.zeros(3), np.full(3, 1)
+        with pytest.raises(ConfigurationError, match="bound mode"):
+            pe_sequence(0, windows, 2.0, div, 4, "printed")
+        with pytest.raises(ConfigurationError, match="M must be >= 1"):
+            pe_sequence(0, windows, 2.0, div, 0, MODE_DEFAULT)
+        with pytest.raises(DimensionError):
+            pe_sequence(0, windows, 2.0, np.zeros(4), 4, MODE_DEFAULT)
+
+
 class TestDivergenceSeries:
     def test_benchmark_values_and_warmup_nan(self):
         space = sensor3_space()
         cov, sch = sensor3_covering_and_schedule(space.states)
-        div = divergence_window_series(sch, cov, 0, 0, np.full(200, 40))
+        div = divergence_series(sch, cov, 0, 0, np.full(200, 40))
         assert np.all(np.isnan(div[:40]))
         assert np.all(div[40:] > 0)
 
@@ -122,7 +202,7 @@ class TestDivergenceSeries:
         space = sensor3_space()
         cov, sch = sensor3_covering_and_schedule(space.states)
         tau, w, D = 120, 40, 0
-        div = divergence_window_series(sch, cov, 0, D, np.full(200, w))
+        div = divergence_series(sch, cov, 0, D, np.full(200, w))
         per_j = []
         for j in range(1, cov.size):
             acc = 0.0
@@ -142,7 +222,7 @@ class TestDivergenceSeries:
 
         T, istar = 300, 1
         windows = np.array([w_at(t) for t in range(T)])
-        div = divergence_window_series(sch, cov, istar, D, windows)
+        div = divergence_series(sch, cov, istar, D, windows)
         logm = cov.log_matrix
         per_slot = sch.weights_matrix(T) @ (logm - logm[istar]).T
         csum = np.vstack([np.zeros((1, cov.size)), np.cumsum(per_slot, axis=0)])
@@ -156,11 +236,20 @@ class TestDivergenceSeries:
         assert div.tobytes() == ref.tobytes()
 
 
+    def test_prefix_must_cover_the_windows(self):
+        space = sensor3_space()
+        cov, sch = sensor3_covering_and_schedule(space.states)
+        prefix = log_ratio_prefix(sch.weights_matrix(50), cov, 0)
+        assert prefix.shape == (51, cov.size) and not prefix[0].any()
+        with pytest.raises(DimensionError, match="for 60 slots"):
+            divergence_window_series(prefix, 0, 0, np.full(60, 10))
+
+
 class TestJbarHt:
     def test_stationary_schedule(self):
         space = sensor3_space()
         sch = stationary(sensor_limit())
-        drift, b = nonstationarity_series(sch, space, 50)
+        drift, b = nonstationarity_series(sch, space, sch.weights_matrix(50))
         jbar, hbar = jbar_ht(50, drift, b, space.cost.p_max, delta=0.1, D=0)
         assert jbar == pytest.approx(float(space.cost.p_max.max()) * 0.1)
         assert hbar == pytest.approx((1 / 50) * b.sum())
@@ -173,7 +262,7 @@ class TestJbarHt:
         rho = 0.9
         sch = GeometricSchedule(limit=limit, start=start, rho=rho)
         t = 60
-        drift, b = nonstationarity_series(sch, space, t)
+        drift, b = nonstationarity_series(sch, space, sch.weights_matrix(t))
         jbar, _ = jbar_ht(t, drift, b, space.cost.p_max, delta=0.0, D=0)
         l1_0 = float(np.abs(start.probs - limit.probs).sum())
         closed = l1_0 * (1 - rho**t) / (1 - rho) / t
