@@ -45,7 +45,7 @@ from .lp import candidate_instance, gap_delta, instance_for, lipschitz_probe, so
 from .simulate import EnsembleResult, run_ensemble
 
 THETA_EPS = 1e-12
-TRACE_CHUNK = 512  # slots formatted per write in write_trace
+TRACE_CHUNK = 512  # rows formatted per write in _write_columns
 
 
 def fmt(x) -> str:
@@ -101,6 +101,16 @@ def _g12_distinct(col: np.ndarray) -> list[str]:
     return [text[i] for i in inverse.tolist()]
 
 
+def _write_columns(path: Path, mode: str, columns: list[str], n_rows: int, chunk) -> None:
+    """``write_csv`` of ``n_rows`` rows formatted a column and a chunk at a
+    time: ``chunk(lo, hi)`` returns the text columns of rows lo..hi-1."""
+    with path.open("w") as f:
+        f.write(f"# mode={mode}\n{','.join(columns)}\n")
+        for lo in range(0, n_rows, TRACE_CHUNK):
+            cols = chunk(lo, min(lo + TRACE_CHUNK, n_rows))
+            f.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+
 def write_trace(path: Path, trace, mode: str) -> None:
     """``write_csv`` of one run's trace, formatted a column and a chunk at a time.
 
@@ -108,19 +118,17 @@ def write_trace(path: Path, trace, mode: str) -> None:
     with ``.12g``.
     """
     K = trace.q.shape[1]
-    with path.open("w") as f:
-        f.write(f"# mode={mode}\n{','.join(trace_columns(K))}\n")
-        for lo in range(0, trace.horizon, TRACE_CHUNK):
-            hi = min(lo + TRACE_CHUNK, trace.horizon)
-            cols = (
-                [map(str, range(lo, hi))]
-                + [map(str, a[lo:hi].tolist())
-                   for a in (trace.omega, trace.jstar, trace.m)]
-                + [_g12_distinct(trace.p[lo:hi, k]) for k in range(K + 1)]
-                + [_g12(trace.q[lo:hi, k].tolist()) for k in range(K)]
-                + [_g12(trace.avg[lo:hi, k].tolist()) for k in range(K + 1)]
-            )
-            f.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+    def chunk(lo, hi):
+        return (
+            [map(str, range(lo, hi))]
+            + [map(str, a[lo:hi].tolist()) for a in (trace.omega, trace.jstar, trace.m)]
+            + [_g12_distinct(trace.p[lo:hi, k]) for k in range(K + 1)]
+            + [_g12(trace.q[lo:hi, k].tolist()) for k in range(K)]
+            + [_g12(trace.avg[lo:hi, k].tolist()) for k in range(K + 1)]
+        )
+
+    _write_columns(path, mode, trace_columns(K), trace.horizon, chunk)
 
 
 def _last_fields(path: Path) -> list[bytes]:
@@ -197,13 +205,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         write_trace(trace_path(out, i), trace, cfg.mode)
 
     ens = run_ensemble(cfg, cfg.runs, on_trace=writer, store_runs=False)
-    rows = (
-        [t] + [ens.mean_p[t, k] for k in range(K + 1)] for t in range(cfg.horizon)
-    )
-    write_csv(
-        out / "ensemble.csv", cfg.mode,
-        ["t"] + [f"mean_p{k}" for k in range(K + 1)], rows,
-    )
+
+    def chunk(lo, hi):
+        return [map(str, range(lo, hi))] + [_g12(col) for col in ens.mean_p[lo:hi].T.tolist()]
+
+    columns = ["t"] + [f"mean_p{k}" for k in range(K + 1)]
+    _write_columns(out / "ensemble.csv", cfg.mode, columns, cfg.horizon, chunk)
     print(f"wrote {cfg.runs} traces and ensemble.csv to {out}")
     return 0
 
@@ -244,7 +251,7 @@ def _bound_context(cfg: ExperimentConfig) -> dict:
     gap = gap_delta(cfg.schedule.limit, cfg.covering, cfg.space.cost, cfg.nu)
     grid = sorted({0.0, gap} | set(np.linspace(0.0, max(2 * gap, 0.1), 9)))
     try:
-        c_hat = lipschitz_probe(inst, grid)
+        c_hat, g = lipschitz_probe(inst, grid)
     except DomainError as exc:
         raise DriftlabError(
             f"the LP under covering member {cfg.istar} (nearest to the schedule "
@@ -252,7 +259,8 @@ def _bound_context(cfg: ExperimentConfig) -> dict:
         ) from exc
     weights = cfg.schedule.weights_matrix(cfg.horizon)
     drift, b_series = nonstationarity_series(cfg.schedule, cfg.space, weights)
-    ctx = dict(gap=gap, c_hat=c_hat, p_opt=solve_lp(inst).value, drift=drift,
+    # grid[0] is 0.0, and inst.perturbed(0.0) keeps c: G(0) is the LP optimum
+    ctx = dict(gap=gap, c_hat=c_hat, p_opt=float(g[0]), drift=drift,
                b_series=b_series, prefix=log_ratio_prefix(weights, cfg.covering, cfg.istar))
     for value in ctx.values():
         if isinstance(value, np.ndarray):
@@ -574,19 +582,6 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=["default", "literal"], default=None)
     args = parser.parse_args(argv)
 
-    if args.command == "preset-dump":
-        return cmd_preset_dump(args.out or "out")
-
-    flags = {"seed": args.seed, "runs": args.runs, "horizon": args.horizon,
-             "out_dir": args.out, "mode": args.mode}
-    try:
-        doc = config.read_config(args.config) if args.config else {"preset": "sensor3"}
-        doc.update((key, value) for key, value in flags.items() if value is not None)
-        cfg = config.config_from_dict(doc, source=args.config or "<builtin sensor3>")
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
     commands = {
         "simulate": cmd_simulate,
         "lp": cmd_lp,
@@ -594,9 +589,20 @@ def main(argv=None) -> int:
         "empirics": cmd_empirics,
         "compare": cmd_compare,
     }
+    flags = {"seed": args.seed, "runs": args.runs, "horizon": args.horizon,
+             "out_dir": args.out, "mode": args.mode}
     try:
+        if args.command == "preset-dump":
+            return cmd_preset_dump(args.out or "out")
+        try:
+            doc = config.read_config(args.config) if args.config else {"preset": "sensor3"}
+            doc.update((key, value) for key, value in flags.items() if value is not None)
+            cfg = config.config_from_dict(doc, source=args.config or "<builtin sensor3>")
+        except ConfigError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         return commands[args.command](cfg)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except DriftlabError as exc:

@@ -127,8 +127,9 @@ def g_of_x(inst: LpInstance, x: float) -> float:
     return solve_lp(inst.perturbed(x)).value
 
 
-def lipschitz_probe(inst: LpInstance, grid: Sequence[float]) -> float:
-    """Empirical Lipschitz constant of G over adjacent grid points.
+def lipschitz_probe(inst: LpInstance, grid: Sequence[float]) -> tuple[float, np.ndarray]:
+    """Empirical Lipschitz constant of G over adjacent grid points, and G on
+    the grid.
 
     A lower bound on the true constant; grids should bracket the range of
     perturbations the caller will reason about.
@@ -147,7 +148,7 @@ def lipschitz_probe(inst: LpInstance, grid: Sequence[float]) -> float:
     slopes = [
         abs(vals[i + 1] - vals[i]) / (xs[i + 1] - xs[i]) for i in range(xs.size - 1)
     ]
-    return max(slopes)
+    return max(slopes), np.array(vals)
 
 
 def gap_delta(
@@ -250,7 +251,7 @@ def theorem1_check(
         nu = float(rng.uniform(0.01, 0.2))
         gap = gap_delta(pi, covering, space.cost, nu)
         grid = sorted(set(np.linspace(0.0, gap, 5)) | {0.0, gap})
-        c_hat = lipschitz_probe(inst_star, grid) if gap > 0 else 0.0
+        c_hat = lipschitz_probe(inst_star, grid)[0] if gap > 0 else 0.0
         rhs = sol_pi.value + (c_hat + 1.0) * gap
         passed = sol_star.value <= rhs + 1e-9
         results.append(

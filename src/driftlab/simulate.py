@@ -10,10 +10,14 @@ argmin.
 
 Each run is strictly sequential in t.  Runs are stepped together in blocks
 of at most ``RUN_BLOCK``, slot by slot, through the same public kernels
-(``detect``, ``select_strategy``, ``update_queues``, ``warmup_detect``) that
-a single run uses.  Every run draws from its own RNG streams derived from
-(master seed, run index), so results do not depend on the block partition
-or on execution order.
+(``select_strategy``, ``update_queues``, ``warmup_detect``) that a single
+run uses.  Detection does not depend on the queues, so it is one screened
+pass per block before the slot loop: ``detect_windows`` settles each
+post-warmup window from prefix sums with a rigorous rounding bound and
+hands the windows it cannot settle to ``detect``, the one exact detection
+kernel.  Every run draws from its own RNG streams derived from (master
+seed, run index), so results do not depend on the block partition or on
+execution order.
 
 ``run_ensemble`` runs its blocks in forked worker processes, one per CPU
 the process may use (``os.sched_getaffinity``), and receives the runs back
@@ -48,6 +52,10 @@ RUN_BLOCK = 16
 # Columns tested together by ``selection_candidates``; its boolean
 # temporaries are PRUNE_CHUNK x (candidates so far).
 PRUNE_CHUNK = 256
+
+# Post-warmup slots screened together by ``detect_windows``; its temporaries
+# are 3 x M x n x (SCREEN_CHUNK + the widest window) floats.
+SCREEN_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -239,6 +247,80 @@ def detect(window: Sequence[int] | np.ndarray, covering: CoveringSet) -> int | n
     return int(j) if j.ndim == 0 else j
 
 
+def detect_windows(
+    omega: np.ndarray, slots: np.ndarray, widths: np.ndarray, D: int,
+    covering: CoveringSet,
+) -> np.ndarray:
+    """(n, S) ``detect`` of each run's window ``omega[:, t-D-w+1 : t-D+1]``
+    for every slot t of ``slots`` with width w of ``widths``.
+
+    The result equals calling ``detect`` slot by slot.  Slots are taken
+    ``SCREEN_CHUNK`` at a time.  Over the outcomes a chunk's windows span,
+    each member and run gets prefix sums of its finite log-likelihoods, of
+    their absolute values and of its zero-mass outcomes.  A window's score is
+    a difference of two prefix sums, or -inf when it holds a zero-mass
+    outcome.  A window is settled when the best member's lower bound is
+    finite and exceeds every other member's upper bound; the others go
+    through ``detect``, one call per width per chunk.
+
+    Rounding bound.  Let x_i be the finite terms of one member and run
+    (0 for a zero-mass outcome), P_k and A_k the exact sums of x_i and |x_i|
+    over the first k outcomes of the chunk, N the chunk's outcome count,
+    u = 2^-53 and g_m = m u / (1 - m u).  Recursive summation of m terms, in
+    any order, is off by at most g_{m-1} times the sum of their magnitudes:
+
+    1. ``cumsum``: |fl(P_k) - P_k| <= g_N A_k.
+    2. A window (lo, hi] has exact sum S = P_hi - P_lo, and the screen's
+       fl(fl(P_hi) - fl(P_lo)) is off by at most
+       (1 + u) g_N (A_hi + A_lo) + u |S| <= g_{N+1} (A_hi + A_lo),
+       since |S| <= A_hi - A_lo.
+    3. ``detect`` sums the window's w <= N terms (left to right today): off
+       by at most g_{w-1} (A_hi - A_lo) <= g_{N+1} (A_hi + A_lo).
+
+    So the two scores differ by at most 2 g_{N+1} (A_hi + A_lo).  The screen
+    uses err = 4 g_{N+1} (fl(A_hi) + fl(A_lo)).  The second factor 2 covers
+    fl(A_k) >= (1 - g_N) A_k, the few roundings in err itself, and the
+    rounding of score -/+ err, at most u (|score| + err) <= 2 u (A_hi + A_lo)
+    against a slack err / 2 >= 2 (N + 1) u (fl(A_hi) + fl(A_lo)).  A settled
+    window's best member therefore beats every other member in ``detect``
+    too, strictly, so ties never matter.
+    """
+    slots = np.asarray(slots, dtype=np.int64)
+    widths = np.asarray(widths, dtype=np.int64)
+    n, M = omega.shape[0], covering.size
+    L = covering.log_matrix
+    finite = np.isfinite(L)
+    x = np.where(finite, L, 0.0)
+    table = np.stack([x, np.abs(x), (~finite).astype(np.float64)])  # (3, M, |Ω|)
+    u = np.finfo(np.float64).eps / 2
+    out = np.empty((n, slots.size), dtype=np.int64)
+    for lo in range(0, slots.size, SCREEN_CHUNK):
+        w = widths[lo : lo + SCREEN_CHUNK]
+        hi = slots[lo : lo + SCREEN_CHUNK] - D + 1  # window ends (exclusive)
+        start, stop = int((hi - w).min()), int(hi.max())
+        if start < 0 or stop > omega.shape[1]:
+            raise DimensionError(f"windows span slots {start}..{stop - 1} outside omega")
+        prefix = np.zeros((3, M, n, stop - start + 1))
+        np.cumsum(table[:, :, omega[:, start:stop]], axis=-1, out=prefix[..., 1:])
+        top, bottom = prefix[..., hi - start], prefix[..., hi - w - start]
+        score = np.where(top[2] > bottom[2], -np.inf, top[0] - bottom[0])  # (M, n, C)
+        g = (stop - start + 1) * u / (1 - (stop - start + 1) * u)
+        err = 4 * g * (top[1] + bottom[1])
+        best = score.argmax(axis=0)  # (n, C)
+        lower = np.take_along_axis(score - err, best[None], axis=0)[0]
+        upper = score + err
+        np.put_along_axis(upper, best[None], -np.inf, axis=0)
+        settled = np.isfinite(lower) & (lower > upper.max(axis=0))
+        out[:, lo : lo + w.size] = best
+        runs, cols = np.nonzero(~settled)
+        for width in np.unique(w[cols]):
+            pick = w[cols] == width
+            r, c = runs[pick], cols[pick]
+            window = omega[r[:, None], (hi[c] - width)[:, None] + np.arange(width)]
+            out[r, lo + c] = detect(window, covering)
+    return out
+
+
 def warmup_detect(covering: CoveringSet, rng: np.random.Generator) -> int:
     """Uniform random member pick for slots whose window is incomplete."""
     return int(rng.integers(covering.size))
@@ -267,6 +349,8 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
     omega = np.stack([_draw_states(config.cdf, rng_states) for rng_states, _ in rngs])
 
     jstar = np.empty((n, T), dtype=np.int32)
+    post = np.flatnonzero(~warm)
+    jstar[:, post] = detect_windows(omega, post, windows[post], D, covering)
     ms = np.empty((n, T), dtype=np.int32)
     p = np.empty((n, T, K + 1))
     qlog = np.empty((n, T, K))
@@ -274,9 +358,8 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
     no_delayed = np.zeros((n, K))
     for t in range(T):
         if warm[t]:
-            j = np.array([warmup_detect(covering, rng_warm) for _, rng_warm in rngs])
-        else:
-            j = detect(omega[:, t - D - windows[t] + 1 : t - D + 1], covering)
+            jstar[:, t] = [warmup_detect(covering, rng_warm) for _, rng_warm in rngs]
+        j = jstar[:, t]
         m = np.empty(n, dtype=np.int64)
         for member in np.unique(j):
             group = j == member
@@ -285,7 +368,6 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
         p[:, t] = space.realized[:, m, omega[:, t]].T
         q = update_queues(q, p[:, t - D, 1:] if t >= D else no_delayed, c)
         qlog[:, t] = q
-        jstar[:, t] = j
         ms[:, t] = m
     avg = np.cumsum(p, axis=1) / np.arange(1, T + 1)[:, None]
     return [

@@ -183,6 +183,25 @@ class TestCli:
                    "--horizon", "50"])
         assert rc == 3
 
+    def test_out_is_a_regular_file_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("")
+        assert main(["simulate", "--out", str(out), "--runs", "1", "--horizon", "5"]) == 3
+        assert "File exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_trace_path_is_a_directory_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                 cpus):
+        # 17 runs are two blocks: with two CPUs run 1 comes from a forked worker
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / "o"
+        (out / "trace_run0001.csv").mkdir(parents=True)
+        argv = ["simulate", "--out", str(out), "--runs", "17", "--horizon", "5"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "trace_run0001.csv" in err
+        assert simulate._worker_count(17) == cpus
+
     def test_bad_config_exit_code(self, tmp_path):
         p = write_doc(tmp_path, {"preset": "sensor3", "Vee": 1})
         assert main(["lp", "--config", str(p)]) == 2

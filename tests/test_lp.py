@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import driftlab.lp
 from _helpers import sensor_limit, sensor_tables
 from driftlab import CoveringSet, DomainError, FiniteDistribution, cli, simplex
 from driftlab.config import config_from_dict
@@ -137,7 +138,8 @@ class TestGofX:
 class TestLipschitzProbe:
     def test_constant_g(self):
         inst = LpInstance(r=np.array([[1.0, 1.0], [0.0, 0.0]]), c=np.array([1.0]))
-        assert lipschitz_probe(inst, [0.0, 0.5, 1.0]) == 0.0
+        c_hat, g = lipschitz_probe(inst, [0.0, 0.5, 1.0])
+        assert c_hat == 0.0 and g.tolist() == [1.0, 1.0, 1.0]
 
     def test_hand_solved_ramp(self):
         # theta_1 <= x binds; G(x) = max(0, 1 - x)
@@ -145,10 +147,12 @@ class TestLipschitzProbe:
         grid = np.linspace(0.0, 1.0, 11)
         for x in grid:
             assert g_of_x(inst, float(x)) == pytest.approx(max(0.0, 1.0 - x), abs=1e-9)
-        assert lipschitz_probe(inst, grid) == pytest.approx(1.0, abs=1e-7)
+        c_hat, g = lipschitz_probe(inst, grid)
+        assert c_hat == pytest.approx(1.0, abs=1e-7)
+        assert g.tolist() == [g_of_x(inst, float(x)) for x in grid]
 
     def test_sensor_chat_positive(self, sensor_instance):
-        c_hat = lipschitz_probe(sensor_instance, np.linspace(0.0, 0.4, 9))
+        c_hat, _ = lipschitz_probe(sensor_instance, np.linspace(0.0, 0.4, 9))
         assert math.isfinite(c_hat)
         assert c_hat > 0
 
@@ -211,10 +215,16 @@ class TestCandidateInstance:
         monkeypatch.setattr(
             cli, "lipschitz_probe", lambda inst, grid: grids.append(grid) or probe(inst, grid)
         )
+        solves = []
+        monkeypatch.setattr(
+            driftlab.lp, "solve_lp", lambda inst: solves.append(inst.x) or solve_lp(inst)
+        )
+        monkeypatch.setattr(cli, "solve_lp", driftlab.lp.solve_lp)
         ctx = cli._bound_context(cfg)
         full = instance_for(cfg.space, cfg.covering.members[cfg.istar])
         assert len(grids) == 1 and len(grids[0]) >= 9
-        assert ctx["c_hat"] == lipschitz_probe(full, grids[0])
+        assert solves == list(grids[0])  # p_opt is the probe's x = 0 solve
+        assert ctx["c_hat"] == lipschitz_probe(full, grids[0])[0]
         assert ctx["p_opt"] == solve_lp(full).value
 
 

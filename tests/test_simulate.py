@@ -12,13 +12,14 @@ from hypothesis.extra.numpy import arrays
 from _helpers import sensor_limit
 from driftlab import simulate
 from driftlab import ConfigurationError, CoveringSet, FiniteDistribution, stationary
-from driftlab.errors import DriftlabError
+from driftlab.errors import DimensionError, DriftlabError
 from driftlab.distributions import PiecewiseSchedule, ProductStateSpace
 from driftlab.presets import sensor3_covering_and_schedule, sensor3_space
 from driftlab.simulate import (
     RUN_BLOCK,
     SimConfig,
     detect,
+    detect_windows,
     lyapunov_drift,
     run,
     run_ensemble,
@@ -73,6 +74,70 @@ class TestDetect:
     def test_zero_mass_ranks_last(self):
         cov = tiny_covering([0.0, 1.0], [0.5, 0.5])
         assert detect([0], cov) == 1
+
+
+@st.composite
+def screen_inputs(draw):
+    """A random covering with zero-mass outcomes, duplicated members and
+    near-equal likelihoods, a block of state streams, D, and an int or a
+    callable window."""
+    n_out = draw(st.integers(1, 6))
+    weights = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 1e-3, 0.7])
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if rows and draw(st.booleans()):
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])  # exact duplicate
+            continue
+        row = np.array(draw(st.lists(weights, min_size=n_out, max_size=n_out)))
+        if not row.any():
+            row[draw(st.integers(0, n_out - 1))] = 1.0
+        rows.append(row / row.sum())
+    if n_out > 1 and draw(st.booleans()):  # an outcome every member misses
+        rows = [np.where(np.arange(n_out) == n_out - 1, 0.0, r) for r in rows]
+        rows = [r / r.sum() if r.any() else np.eye(n_out)[0] for r in rows]
+    T = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 17))
+    widths = draw(st.lists(st.integers(1, 6), min_size=T, max_size=T))
+    window = widths[0] if draw(st.booleans()) else widths.__getitem__
+    omega = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, n_out, (n, T))
+    return tiny_covering(*rows), omega, draw(st.integers(0, 3)), window, draw(st.integers(1, 9))
+
+
+class TestDetectWindows:
+    @given(screen_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_detect_slot_by_slot(self, inputs):
+        cov, omega, D, window, chunk = inputs
+        n, T = omega.shape
+        cfg = SimConfig(space=None, schedule=None, covering=cov, V=0.0, D=D,
+                        window=window, horizon=T, seed=0)
+        post = np.flatnonzero(~cfg.warmup_mask())
+        with mock.patch.object(simulate, "SCREEN_CHUNK", chunk):
+            got = detect_windows(omega, post, cfg.windows[post], D, cov)
+        assert got.shape == (n, post.size)
+        for col, t in enumerate(post):
+            window_t = omega[:, t - D - cfg.windows[t] + 1 : t - D + 1]
+            assert np.array_equal(got[:, col], detect(window_t, cov)), t
+            dead = np.isinf(cov.log_matrix[:, window_t]).any(axis=-1).all(axis=0)
+            assert not got[dead, col].any()  # every member -inf: member 0
+
+    def test_ties_go_through_detect_once_per_width(self):
+        cov = tiny_covering([0.5, 0.5], [0.5, 0.5], [0.9, 0.1])
+        omega = np.tile([1, 1, 0, 1, 1, 0, 1, 1], (3, 5))  # (3, 40); member 2 never wins
+        widths = np.where(np.arange(40) % 2, 4, 5)
+        slots = np.arange(6, 40)
+        with mock.patch.object(simulate, "detect", wraps=detect) as spy:
+            got = detect_windows(omega, slots, widths[slots], 1, cov)
+        assert not got.any()  # members 0 and 1 tie exactly; the lowest index wins
+        assert [call.args[0].shape for call in spy.call_args_list] == [(51, 4), (51, 5)]
+        with mock.patch.object(simulate, "detect", wraps=detect) as spy:
+            detect_windows(omega, slots, widths[slots], 1, tiny_covering([0.5, 0.5], [0.9, 0.1]))
+        assert spy.call_count == 0  # no ties: the screen settles every window
+
+    def test_windows_outside_the_streams_are_rejected(self):
+        cov = tiny_covering([0.5, 0.5])
+        with pytest.raises(DimensionError):
+            detect_windows(np.zeros((1, 5), dtype=int), np.array([3]), np.array([5]), 0, cov)
 
 
 class TestWarmupDetect:
