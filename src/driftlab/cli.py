@@ -165,24 +165,27 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
     final = np.empty((n, K + 1))
     mean = np.zeros((T, K + 1))
     for i, path in enumerate(paths):
-        data = np.loadtxt(
-            path, delimiter=",", skiprows=2, ndmin=2, usecols=range(2, 5 + 2 * K)
-        )
-        if data.shape[0] != T:
-            raise DriftlabError(
-                f"{path}: {data.shape[0]} slots, config horizon is {T}"
-            )
         fields = _last_fields(path)
         if len(fields) != 6 + 3 * K:
             raise DriftlabError(
                 f"{path}: last row has {len(fields)} columns, expected {6 + 3 * K}"
+            )
+        try:  # a cell that is not a number, or a row short of a parsed column
+            data = np.loadtxt(
+                path, delimiter=",", skiprows=2, ndmin=2, usecols=range(2, 5 + 2 * K)
+            )
+            final[i] = [float(v) for v in fields[5 + 2 * K :]]
+        except ValueError as exc:
+            raise DriftlabError(f"{path}: {exc}") from exc
+        if data.shape[0] != T:
+            raise DriftlabError(
+                f"{path}: {data.shape[0]} slots, config horizon is {T}"
             )
         jstar[i] = data[:, 0].astype(np.int32)
         ms[i] = data[:, 1].astype(np.int32)
         p[i] = data[:, 2 : 3 + K]
         q[i] = data[:, 3 + K :]
         mean += p[i]
-        final[i] = [float(v) for v in fields[5 + 2 * K :]]
     return EnsembleResult(
         mean_p=mean / n,
         final_avg=final,
@@ -288,11 +291,9 @@ def _inputs_at(cfg: ExperimentConfig, ctx: dict, pe: np.ndarray, t: int,
     inputs = BoundInputs(
         t=t, alpha_t=alpha_t, u_t=u_t, v_t=v_t, V=cfg.V, D=cfg.D,
         lyapunov_cap=cfg.lyapunov_cap, F=cfg.space.F,
-        n_outcomes=cfg.space.states.total, K=cost.n_penalties,
-        M=cfg.covering.size, delta=cfg.covering.delta, zeta=cfg.covering.zeta,
-        nu=cfg.nu, c_hat=ctx["c_hat"], p_max=cost.p_max, p_min=cost.p_min,
-        c=cost.c, gap=ctx["gap"], jbar=jbar, hbar=hbar, kappa=kappa,
-        p_opt=ctx["p_opt"],
+        n_outcomes=cfg.space.states.total, K=cost.n_penalties, c_hat=ctx["c_hat"],
+        p_max=cost.p_max, p_min=cost.p_min, c=cost.c, gap=ctx["gap"], jbar=jbar,
+        hbar=hbar, kappa=kappa, p_opt=ctx["p_opt"],
     )
     return inputs, psi_q_gamma(inputs, pe[:t], ctx["b_series"][:t])
 
@@ -495,19 +496,25 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     cost = cfg.space.cost
     K = cost.n_penalties
     t = cfg.horizon
-    inputs, pqg = _inputs_at(cfg, ctx, pe, t, None)
+    bounded = cfg.V > 0  # the bound stack divides by V
+    if bounded:
+        inputs, pqg = _inputs_at(cfg, ctx, pe, t, None)
     _, kap, gap, _, betas = _empirics_rows(cfg, ens)
 
     rows = []
     for k in range(K + 1):
+        name = f"penalty_avg_p{k}" if k else "cost_avg"
+        if not bounded:
+            rows.append([name, k, "", gap.mean_final[k], "", cfg.mode, "inapplicable"])
+            continue
         level = (
             ctx["p_opt"] + (ctx["c_hat"] + 1) * ctx["gap"] + pqg.psi if k == 0
             else float(cost.c[k - 1]) + pqg.q_up
         )
         alpha_term = inputs.alpha_t * float(inputs.dp_max[k]) / (t - inputs.alpha_t)
         b = level + alpha_term + cfg.eps
-        rows.append([f"penalty_avg_p{k}" if k else "cost_avg", k, "",
-                     gap.mean_final[k], b, cfg.mode, bool(gap.mean_final[k] <= b)])
+        rows.append([name, k, "", gap.mean_final[k], b, cfg.mode,
+                     bool(gap.mean_final[k] <= b)])
 
     # queue growth invariant over the loaded traces
     worst = 0.0

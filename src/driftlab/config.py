@@ -312,11 +312,12 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
     for name, value, low in (
         ("seed", seed, 0), ("runs", runs, 1), ("horizon", horizon, 1),
         ("window", window, 1), ("delay", delay, 0), ("V", V, 0.0),
+        ("lyapunov_cap", cap, 0.0), ("kappa", kappa, 0.0),
     ):
         if value is not None and value < low:
             errors.append(f"{name}: must be >= {low}, got {value}")
-    if nu is not None and nu <= 0:
-        errors.append(f"nu: must be > 0, got {nu}")
+    errors += [f"{name}: must be > 0, got {value}" for name, value in (
+        ("nu", nu), ("eps", eps)) if value is not None and value <= 0]
 
     if errors:
         raise ConfigError(errors)
@@ -371,6 +372,8 @@ def dump_preset(name: str = "sensor3") -> dict:
         "out_dir": cfg.out_dir,
         "nu": cfg.nu,
         "lyapunov_cap": cfg.lyapunov_cap,
+        "eps": cfg.eps,
+        "kappa": cfg.kappa,
         "state_space": list(cfg.space.states.per_user_cardinalities),
         "action_space": list(cfg.space.actions.per_user_action_counts),
         "cost": {

@@ -7,9 +7,11 @@ across ensemble workers.  Logarithms are natural throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import accumulate
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -64,64 +66,61 @@ class FiniteDistribution:
 
 
 @dataclass(frozen=True)
-class ProductStateSpace:
-    """Joint state space Ω = Ω_1 x ... x Ω_N with a fixed mixed-radix order.
+class MixedRadix:
+    """Bijection between digit tuples, digit i in [0, counts[i]), and ids
+    0..total-1, the first digit most significant.  It numbers joint states,
+    joint actions and pure strategies; ``what`` and ``digit`` name the id
+    and its digits in errors."""
 
-    Joint outcome ids encode the tuple (w_1, ..., w_N) with the first user's
-    component most significant.
-    """
-
-    per_user_cardinalities: tuple[int, ...]
+    counts: tuple[int, ...]
+    what: ClassVar[str] = "mixed-radix"
+    digit: ClassVar[str] = "digit"
 
     def __post_init__(self):
-        cards = tuple(int(c) for c in self.per_user_cardinalities)
-        object.__setattr__(self, "per_user_cardinalities", cards)
-        if not cards or any(c < 1 for c in cards):
-            raise ConfigurationError(f"invalid state cardinalities {cards}")
+        counts = tuple(int(c) for c in self.counts)
+        object.__setattr__(self, "counts", counts)
+        if not counts or any(c < 1 for c in counts):
+            raise ConfigurationError(f"invalid {self.what} counts {counts}")
 
     @property
     def n_users(self) -> int:
-        return len(self.per_user_cardinalities)
+        return len(self.counts)
 
     @cached_property
     def total(self) -> int:
-        return int(np.prod(self.per_user_cardinalities, dtype=object))
+        return math.prod(self.counts)
 
     @cached_property
-    def _multipliers(self) -> tuple[int, ...]:
-        # multiplier of component i; user 0 most significant
-        mults = []
-        m = 1
-        for c in reversed(self.per_user_cardinalities):
-            mults.append(m)
-            m *= c
-        return tuple(reversed(mults))
+    def multipliers(self) -> tuple[int, ...]:
+        """Place value of each digit: the product of the counts after it."""
+        return tuple(accumulate(self.counts[:0:-1], operator.mul, initial=1))[::-1]
 
-    def encode(self, components: Sequence[int]) -> int:
-        if len(components) != self.n_users:
-            raise DimensionError("component tuple length mismatch")
-        out = 0
-        for w, c, m in zip(components, self.per_user_cardinalities, self._multipliers):
-            if not 0 <= w < c:
-                raise DomainError(f"state component {w} out of range [0, {c})")
-            out += w * m
-        return out
+    def encode(self, digits: Sequence[int]) -> int:
+        if len(digits) != self.n_users:
+            raise DimensionError(f"{self.what} tuple length mismatch")
+        for d, c in zip(digits, self.counts):
+            if not 0 <= d < c:
+                raise DomainError(f"{self.digit} {d} out of range [0, {c})")
+        return sum(d * m for d, m in zip(digits, self.multipliers))
 
     def decode(self, joint_id: int) -> tuple[int, ...]:
         if not 0 <= joint_id < self.total:
-            raise DomainError(f"joint state id {joint_id} out of range")
-        comps = []
-        for c, m in zip(self.per_user_cardinalities, self._multipliers):
-            comps.append((joint_id // m) % c)
-        return tuple(comps)
+            raise DomainError(f"{self.what} id {joint_id} out of range [0, {self.total})")
+        return tuple((joint_id // m) % c for c, m in zip(self.counts, self.multipliers))
 
     def component_arrays(self) -> list[np.ndarray]:
-        """For each user i an array over joint ids giving that user's component."""
+        """For each digit i an array over all ids giving that digit."""
         ids = np.arange(self.total)
-        return [
-            (ids // m) % c
-            for c, m in zip(self.per_user_cardinalities, self._multipliers)
-        ]
+        return [(ids // m) % c for c, m in zip(self.counts, self.multipliers)]
+
+
+@dataclass(frozen=True)
+class ProductStateSpace(MixedRadix):
+    """Joint state space Ω = Ω_1 x ... x Ω_N; a joint id encodes (w_1, ..., w_N)
+    with the first user's component most significant."""
+
+    what, digit = "state", "state component"
+    per_user_cardinalities = property(lambda self: self.counts)
 
 
 @dataclass(frozen=True)

@@ -205,10 +205,6 @@ class BoundInputs:
     F: int
     n_outcomes: int
     K: int
-    M: int
-    delta: float
-    zeta: float
-    nu: float
     c_hat: float
     p_max: np.ndarray  # (K+1,)
     p_min: np.ndarray

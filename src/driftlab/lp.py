@@ -66,9 +66,11 @@ class LpSolution:
     def __post_init__(self):
         if self.status == "optimal":
             th = np.asarray(self.theta, dtype=np.float64)
-            object.__setattr__(self, "theta", th)
             if th.min() < -SOLUTION_TOL:
                 raise RuntimeError(f"solver returned theta_min={th.min()!r}")
+            # pivots can leave a zero weight at -1e-17: clear it
+            th = np.maximum(th, 0.0)
+            object.__setattr__(self, "theta", th)
             if abs(th.sum() - 1.0) > SOLUTION_TOL:
                 raise RuntimeError(f"solver returned sum(theta)={th.sum()!r}")
 

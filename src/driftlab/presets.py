@@ -34,22 +34,16 @@ SHRUNK_CELLS = 15  # joint outcomes whose mass the transients move away
 def sensor3_model() -> tuple[ActionModel, ProductStateSpace, CostModel]:
     actions = ActionModel((2, 2, 2))
     states = ProductStateSpace((4, 4, 4))
-    acomp = np.array([actions.decode(a) for a in range(actions.total)])
-    wcomp = np.array([states.decode(w) for w in range(states.total)])
+    a = actions.component_arrays()
+    w = states.component_arrays()
     util = np.minimum(
-        np.add.outer(acomp[:, 0] * 1.0, np.zeros(states.total))
-        * wcomp[None, :, 0]
-        / 3.0
-        + (
-            np.outer(acomp[:, 1], wcomp[:, 1]) + np.outer(acomp[:, 2], wcomp[:, 2])
-        )
-        / 6.0,
+        np.outer(a[0], w[0]) / 3.0 + (np.outer(a[1], w[1]) + np.outer(a[2], w[2])) / 6.0,
         1.0,
     )
     tables = np.empty((4, actions.total, states.total))
     tables[0] = -util
     for k in range(3):
-        tables[k + 1] = np.repeat(acomp[:, k : k + 1], states.total, axis=1)
+        tables[k + 1] = a[k][:, None]
     return actions, states, CostModel(tables=tables, c=np.array([1 / 3] * 3))
 
 

@@ -8,65 +8,50 @@ control loop can consume them as dense arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import islice
 
 import numpy as np
 
-from .distributions import FiniteDistribution, ProductStateSpace, _freeze
-from .errors import ConfigurationError, DimensionError, DomainError
+from .distributions import FiniteDistribution, MixedRadix, ProductStateSpace, _freeze
+from .errors import ConfigurationError, DimensionError
 
 STRATEGY_COUNT_GUARD = 2**32
 ACTION_MATRIX_GUARD = 2**27  # cap on F * |Omega| for dense enumeration
 
 
 @dataclass(frozen=True)
-class ActionModel:
+class ActionModel(MixedRadix):
     """Joint action space A = A_1 x ... x A_N, first user most significant."""
 
-    per_user_action_counts: tuple[int, ...]
+    what, digit = "action", "action"
+    per_user_action_counts = property(lambda self: self.counts)
 
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.per_user_action_counts)
-        object.__setattr__(self, "per_user_action_counts", counts)
-        if not counts or any(c < 1 for c in counts):
-            raise ConfigurationError(f"invalid action counts {counts}")
 
-    @property
-    def n_users(self) -> int:
-        return len(self.per_user_action_counts)
+@dataclass(frozen=True)
+class StrategyCodec(MixedRadix):
+    """Pure strategy ids: one action digit per (user, local state) slot.
 
-    @cached_property
-    def total(self) -> int:
-        return int(np.prod(self.per_user_action_counts, dtype=object))
+    The slots run in reverse, so user 0's state-0 entry is the least
+    significant digit, then user 0's remaining states, then user 1, and so on.
+    """
 
-    @cached_property
-    def _multipliers(self) -> tuple[int, ...]:
-        mults = []
-        m = 1
-        for c in reversed(self.per_user_action_counts):
-            mults.append(m)
-            m *= c
-        return tuple(reversed(mults))
+    what, digit = "strategy", "action"
 
-    def encode(self, actions: Sequence[int]) -> int:
-        if len(actions) != self.n_users:
-            raise DimensionError("action tuple length mismatch")
-        out = 0
-        for a, c, m in zip(actions, self.per_user_action_counts, self._multipliers):
-            if not 0 <= a < c:
-                raise DomainError(f"action {a} out of range [0, {c})")
-            out += a * m
-        return out
-
-    def decode(self, joint_id: int) -> tuple[int, ...]:
-        if not 0 <= joint_id < self.total:
-            raise DomainError(f"joint action id {joint_id} out of range")
-        return tuple(
-            (joint_id // m) % c
-            for c, m in zip(self.per_user_action_counts, self._multipliers)
-        )
+    @classmethod
+    def of(cls, actions: ActionModel, states: ProductStateSpace) -> "StrategyCodec":
+        """F = prod_i |A_i|^{|Omega_i|} ids, guarded against unenumerable sizes."""
+        if actions.n_users != states.n_users:
+            raise DimensionError("action and state models disagree on user count")
+        pairs = list(zip(actions.counts, states.counts))
+        if math.prod(a**w for a, w in pairs) > STRATEGY_COUNT_GUARD:
+            raise ConfigurationError(
+                f"strategy count exceeds {STRATEGY_COUNT_GUARD}; restrict the "
+                "strategy class or shrink the per-user spaces"
+            )
+        return cls(tuple(a for a, w in pairs for _ in range(w))[::-1])
 
 
 @dataclass(frozen=True)
@@ -83,59 +68,24 @@ class PureStrategy:
 
 def strategy_count(actions: ActionModel, states: ProductStateSpace) -> int:
     """F = prod_i |A_i|^{|Omega_i|}, guarded against unenumerable sizes."""
-    if actions.n_users != states.n_users:
-        raise DimensionError("action and state models disagree on user count")
-    f = 1
-    for a, w in zip(actions.per_user_action_counts, states.per_user_cardinalities):
-        f *= a**w
-        if f > STRATEGY_COUNT_GUARD:
-            raise ConfigurationError(
-                f"strategy count exceeds {STRATEGY_COUNT_GUARD}; restrict the "
-                "strategy class or shrink the per-user spaces"
-            )
-    return f
+    return StrategyCodec.of(actions, states).total
 
 
 def decode_strategy(
     m: int, actions: ActionModel, states: ProductStateSpace
 ) -> PureStrategy:
-    """Mixed-radix bijection index -> strategy.
-
-    Digit order: user 0's state-0 entry is the least significant digit, then
-    user 0's remaining states, then user 1, and so on.
-    """
-    f = strategy_count(actions, states)
-    if not 0 <= m < f:
-        raise DomainError(f"strategy index {m} out of range [0, {f})")
-    rem = m
-    tables = []
-    for a, w in zip(actions.per_user_action_counts, states.per_user_cardinalities):
-        row = []
-        for _ in range(w):
-            row.append(rem % a)
-            rem //= a
-        tables.append(tuple(row))
-    return PureStrategy(tuple(tables))
+    """Strategy id -> strategy, digits in ``StrategyCodec`` order."""
+    slots = iter(StrategyCodec.of(actions, states).decode(m)[::-1])
+    return PureStrategy(tuple(tuple(islice(slots, w)) for w in states.counts))
 
 
 def encode_strategy(
     s: PureStrategy, actions: ActionModel, states: ProductStateSpace
 ) -> int:
-    if len(s.tables) != actions.n_users:
-        raise DimensionError("strategy has wrong user count")
-    out = 0
-    mult = 1
-    for table, a, w in zip(
-        s.tables, actions.per_user_action_counts, states.per_user_cardinalities
-    ):
-        if len(table) != w:
-            raise DimensionError("strategy table length does not match state space")
-        for entry in table:
-            if not 0 <= entry < a:
-                raise DomainError(f"action id {entry} out of range [0, {a})")
-            out += entry * mult
-            mult *= a
-    return out
+    codec = StrategyCodec.of(actions, states)
+    if tuple(map(len, s.tables)) != states.counts:
+        raise DimensionError("strategy tables do not match the state space")
+    return codec.encode([a for table in s.tables for a in table][::-1])
 
 
 def apply_strategy(
@@ -241,7 +191,8 @@ class StrategySpace:
         self.actions = actions
         self.states = states
         self.cost = cost
-        self.F = strategy_count(actions, states)
+        self.codec = StrategyCodec.of(actions, states)
+        self.F = self.codec.total
         if self.F * states.total > ACTION_MATRIX_GUARD:
             raise ConfigurationError(
                 "dense strategy enumeration too large; reduce F or |Omega|"
@@ -251,23 +202,16 @@ class StrategySpace:
         self.realized = _freeze(cost.tables[:, self.actions_of, state_ids[None, :]])
 
     def _build_action_matrix(self) -> np.ndarray:
-        m = np.arange(self.F, dtype=np.int64)
-        # per-user digit tables: digits[i][m, s] = action of user i in local state s
-        digits = []
-        div = np.ones_like(m)
-        for a, w in zip(
-            self.actions.per_user_action_counts,
-            self.states.per_user_cardinalities,
-        ):
-            cols = []
-            for _ in range(w):
-                cols.append((m // div) % a)
-                div = div * a
-            digits.append(np.stack(cols, axis=1))
-        comps = self.states.component_arrays()
-        out = np.zeros((self.F, self.states.total), dtype=np.int64)
-        for i, mult in enumerate(self.actions._multipliers):
-            out += digits[i][:, comps[i]] * mult
+        # digits[m, o_i + s]: the action of user i in local state s, where
+        # o_i is the number of local states of the users before i
+        digits = np.stack(self.codec.component_arrays()[::-1], axis=1)
+        offsets = np.cumsum((0,) + self.states.counts[:-1])
+        out = sum(
+            digits[:, o + comp] * mult
+            for o, comp, mult in zip(
+                offsets, self.states.component_arrays(), self.actions.multipliers
+            )
+        )
         out = out.astype(np.int32)
         out.setflags(write=False)
         return out

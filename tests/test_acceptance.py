@@ -239,13 +239,13 @@ def test_criterion_8_oracle_equivalences(bench_cfg):
         while (t - alpha) % u:
             u -= 1
         v = (t - alpha) // u
+        V, D = float(rng.uniform(0.5, 80)), int(rng.integers(0, 3))
+        cap, F = float(rng.uniform(0, 4)), int(rng.integers(2, 5000))
+        n_outcomes = int(rng.integers(2, 128))
+        rng.uniform(0.01, 0.5), rng.uniform(0.5, 60)  # delta and zeta, which psi omits
         inputs = BoundInputs(
-            t=t, alpha_t=alpha, u_t=u, v_t=v,
-            V=float(rng.uniform(0.5, 80)), D=int(rng.integers(0, 3)),
-            lyapunov_cap=float(rng.uniform(0, 4)), F=int(rng.integers(2, 5000)),
-            n_outcomes=int(rng.integers(2, 128)), K=3, M=8,
-            delta=float(rng.uniform(0.01, 0.5)), zeta=float(rng.uniform(0.5, 60)),
-            nu=0.05, c_hat=float(rng.uniform(0, 3)),
+            t=t, alpha_t=alpha, u_t=u, v_t=v, V=V, D=D, lyapunov_cap=cap, F=F,
+            n_outcomes=n_outcomes, K=3, c_hat=float(rng.uniform(0, 3)),
             p_max=np.array([0.0, 1.0, 1.0, 1.0]),
             p_min=np.array([-1.0, 0.0, 0.0, 0.0]),
             c=np.array([1 / 3] * 3), gap=float(rng.uniform(0, 1)),

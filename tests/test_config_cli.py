@@ -8,7 +8,7 @@ import pytest
 
 from driftlab import cli, simulate
 from driftlab.cli import blocking_constants, fmt, main, read_traces
-from driftlab.config import ConfigError, config_from_dict, dump_preset, load_config
+from driftlab.config import TOP_KEYS, ConfigError, config_from_dict, dump_preset, load_config
 from driftlab.errors import DriftlabError
 from driftlab.simulate import SimConfig, run_ensemble
 
@@ -90,6 +90,7 @@ class TestConfig:
             load_config(tmp_path / "nope.json")
 
     def test_dump_round_trips(self):
+        assert set(dump_preset()) == TOP_KEYS
         cfg = config_from_dict(dump_preset())
         base = config_from_dict({"preset": "sensor3"})
         for f in fields(base):
@@ -183,6 +184,49 @@ class TestCli:
                    "--horizon", "50"])
         assert rc == 3
 
+    @pytest.mark.parametrize("stage", ["empirics", "compare"])
+    @pytest.mark.parametrize("damage, message", [
+        ("bad_cell", "could not convert string 'x' to float64"),
+        ("short_row", "invalid column index 5"),
+    ])
+    def test_malformed_trace_exit_code(self, tmp_path, capsys, stage, damage, message):
+        argv = ["--out", str(tmp_path / "o"), "--runs", "2", "--horizon", "60"]
+        assert main(["simulate"] + argv) == 0
+        path = tmp_path / "o" / "trace_run0001.csv"
+        lines = path.read_text().splitlines()
+        if damage == "bad_cell":
+            cells = lines[4].split(",")  # slot 2
+            cells[2] = "x"  # jstar
+            lines[4] = ",".join(cells)
+        else:
+            lines[10] = ",".join(lines[10].split(",")[:5])  # slot 8 loses Q and avg
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([stage] + argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and message in err and err.count("\n") == 1
+
+    def test_zero_V_runs_every_stage(self, tmp_path):
+        # the bound stack divides by V, so compare leaves the average rows unbounded
+        p = write_doc(tmp_path, {"preset": "sensor3", "V": 0, "runs": 2, "horizon": 80,
+                                 "out_dir": str(tmp_path / "o")})
+        for stage in ("simulate", "lp", "bounds", "empirics", "compare"):
+            assert main([stage, "--config", str(p)]) == 0, stage
+        rows = [r.split(",") for r in
+                (tmp_path / "o" / "compare.csv").read_text().splitlines()[2:]]
+        by_name = {r[0]: r for r in rows}
+        for name in ("cost_avg", "penalty_avg_p1", "penalty_avg_p2", "penalty_avg_p3"):
+            assert by_name[name][4:] == ["", "default", "inapplicable"]
+        assert by_name["queue_growth_violation"][4:] == ["0", "default", "true"]
+        assert by_name["detect_error_violation"][6] == "true"
+        assert len(rows) == 11
+
+    def test_zero_V_without_a_V_sweep_fails_bounds(self, tmp_path, capsys):
+        p = write_doc(tmp_path, {"preset": "sensor3", "V": 0, "horizon": 80,
+                                 "sweep": {"V": []}})
+        assert main(["bounds", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
+        assert "V must be > 0 in the bound stack, got 0.0" in capsys.readouterr().err
+
     def test_out_is_a_regular_file_exit_code(self, tmp_path, capsys):
         out = tmp_path / "o"
         out.write_text("")
@@ -274,6 +318,18 @@ class TestCli:
             argv += ["--config", str(write_doc(tmp_path, {"preset": "sensor3",
                                                           field: value}))]
         assert main(argv) == 2
+        assert f"\n  {field}: must be {rule}, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("stage", ["simulate", "lp", "bounds", "empirics", "compare"])
+    @pytest.mark.parametrize("field, value, rule", [
+        ("eps", -1.0, "> 0"), ("kappa", -0.5, ">= 0.0"), ("lyapunov_cap", -5.0, ">= 0.0"),
+    ])
+    def test_out_of_range_scalar_exit_code(self, tmp_path, capsys, stage, field,
+                                           value, rule):
+        # each used to load, and a negative kappa or cap changed bounds.csv
+        p = write_doc(tmp_path, {"preset": "sensor3", field: value})
+        assert main([stage, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert f"\n  {field}: must be {rule}, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlab import (
+    ActionModel,
     ConfigurationError,
     CoveringSet,
     DimensionError,
@@ -102,8 +103,10 @@ class TestDistances:
 
 
 class TestProductStateSpace:
+    space_cls, kind = ProductStateSpace, "state"
+
     def test_bijection_exhaustive(self):
-        space = ProductStateSpace((4, 4, 4))
+        space = self.space_cls((4, 4, 4))
         assert space.total == 64
         seen = set()
         for j in range(space.total):
@@ -113,22 +116,28 @@ class TestProductStateSpace:
         assert len(seen) == 64
 
     def test_first_user_most_significant(self):
-        space = ProductStateSpace((4, 4, 4))
+        space = self.space_cls((4, 4, 4))
         assert space.encode((3, 0, 3)) == 3 * 16 + 3
         assert space.decode(63) == (3, 3, 3)
 
     def test_component_arrays(self):
-        space = ProductStateSpace((2, 3))
+        space = self.space_cls((2, 3))
         comps = space.component_arrays()
         for j in range(space.total):
             assert tuple(int(c[j]) for c in comps) == space.decode(j)
 
     def test_range_errors(self):
-        space = ProductStateSpace((2, 2))
-        with pytest.raises(DomainError):
+        space = self.space_cls((2, 2))
+        with pytest.raises(DomainError, match=f"^{self.kind} id 4 out of range"):
             space.decode(4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"^{self.kind}"):
             space.encode((2, 0))
+
+
+class TestActionModelCodec(TestProductStateSpace):
+    """The same cases on the joint action space, which shares the codec."""
+
+    space_cls, kind = ActionModel, "action"
 
 
 def make_covering(*members, delta=0.5):

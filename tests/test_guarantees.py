@@ -281,10 +281,6 @@ def make_inputs(**over):
         F=4096,
         n_outcomes=64,
         K=3,
-        M=8,
-        delta=0.1,
-        zeta=50.0,
-        nu=0.05,
         c_hat=1.0,
         p_max=np.array([0.0, 1.0, 1.0, 1.0]),
         p_min=np.array([-1.0, 0.0, 0.0, 0.0]),

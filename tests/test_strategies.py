@@ -64,7 +64,7 @@ class TestEncodeDecode:
     def test_out_of_range(self):
         actions = ActionModel((2,))
         states = ProductStateSpace((1,))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^strategy id 2 out of range \[0, 2\)"):
             decode_strategy(2, actions, states)
 
 
@@ -97,6 +97,16 @@ class TestApply:
             naive = actions.encode([s.tables[i][comps[i]] for i in range(2)])
             assert space.apply(m, w) == naive
             assert apply_strategy(s, w, actions, states) == naive
+
+    @pytest.mark.parametrize("a_counts, w_counts", [((2, 3), (3, 2)), ((3, 1, 2), (2, 3, 1))])
+    def test_action_matrix_matches_apply_everywhere(self, a_counts, w_counts):
+        actions, states = ActionModel(a_counts), ProductStateSpace(w_counts)
+        space = StrategySpace(actions, states, CostModel(
+            tables=np.zeros((1, actions.total, states.total)), c=np.zeros(0)))
+        for m in range(space.F):
+            s = decode_strategy(m, actions, states)
+            row = [apply_strategy(s, w, actions, states) for w in range(states.total)]
+            assert space.actions_of[m].tolist() == row
 
 
 class TestCostModel:
