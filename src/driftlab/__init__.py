@@ -6,6 +6,7 @@ guarantee evaluators, and empirical estimators that let the guarantees be
 checked against Monte Carlo behavior.
 """
 
+from .config import ConfigError, config_from_dict, read_config
 from .distributions import (
     CoveringSet,
     FiniteDistribution,
@@ -13,14 +14,8 @@ from .distributions import (
     PiecewiseSchedule,
     ProductStateSpace,
     Schedule,
-    divergence,
     l1_distance,
-    metric_entropy,
     nearest_member,
-    sample,
-    stationary,
-    tv_distance,
-    window_loglik,
 )
 from .errors import (
     ConfigurationError,
@@ -37,16 +32,7 @@ from .simulate import (
     run,
     run_ensemble,
 )
-from .strategies import (
-    ActionModel,
-    CostModel,
-    PureStrategy,
-    StrategySpace,
-    apply_strategy,
-    decode_strategy,
-    encode_strategy,
-    strategy_count,
-)
+from .strategies import ActionModel, CostModel, StrategySpace
 
 __all__ = [
     "ActionModel",
@@ -54,20 +40,18 @@ __all__ = [
     "EnsembleResult",
     "LpInstance",
     "LpSolution",
-    "PureStrategy",
     "RunTrace",
     "SimConfig",
     "StrategySpace",
-    "apply_strategy",
-    "decode_strategy",
-    "encode_strategy",
+    "config_from_dict",
     "gap_delta",
     "g_of_x",
     "instance_for",
+    "read_config",
     "run",
     "run_ensemble",
     "solve_lp",
-    "strategy_count",
+    "ConfigError",
     "ConfigurationError",
     "CoveringSet",
     "DimensionError",
@@ -79,14 +63,8 @@ __all__ = [
     "PiecewiseSchedule",
     "ProductStateSpace",
     "Schedule",
-    "divergence",
     "l1_distance",
-    "metric_entropy",
     "nearest_member",
-    "sample",
-    "stationary",
-    "tv_distance",
-    "window_loglik",
 ]
 
 __version__ = "0.1.0"

@@ -118,6 +118,7 @@ def write_trace(path: Path, trace, mode: str) -> None:
     with ``.12g``.
     """
     K = trace.q.shape[1]
+    avg = trace.avg
 
     def chunk(lo, hi):
         return (
@@ -125,7 +126,7 @@ def write_trace(path: Path, trace, mode: str) -> None:
             + [map(str, a[lo:hi].tolist()) for a in (trace.omega, trace.jstar, trace.m)]
             + [_g12_distinct(trace.p[lo:hi, k]) for k in range(K + 1)]
             + [_g12(trace.q[lo:hi, k].tolist()) for k in range(K)]
-            + [_g12(trace.avg[lo:hi, k].tolist()) for k in range(K + 1)]
+            + [_g12(avg[lo:hi, k].tolist()) for k in range(K + 1)]
         )
 
     _write_columns(path, mode, trace_columns(K), trace.horizon, chunk)
@@ -467,10 +468,13 @@ def cmd_empirics(cfg: ExperimentConfig) -> int:
     )
     rates = error_rate(ens)
     ci = rates.ci_half()
-    write_csv(
-        out / "error_rates.csv", cfg.mode, ["t", "rate", "ci_half"],
-        ([t, rates.per_slot[t], ci[t]] for t in range(rates.per_slot.size)),
-    )
+
+    def chunk(lo, hi):
+        return [map(str, range(lo, hi)), _g12(rates.per_slot[lo:hi].tolist()),
+                _g12(ci[lo:hi].tolist())]
+
+    _write_columns(out / "error_rates.csv", cfg.mode, ["t", "rate", "ci_half"],
+                   rates.per_slot.size, chunk)
     print(f"runs: {ens.run_count}, horizon: {cfg.horizon}")
     print(f"lp optimum (cost): {fmt(lp_value)}")
     print(f"final mean cost:   {fmt(gap.mean_final[0])} (gap {fmt(gap.cost_gap)})")

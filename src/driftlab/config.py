@@ -80,7 +80,8 @@ class ExperimentConfig(SimConfig):
     d_sweep: tuple[int, ...]
 
     def sim(self, **overrides: Any) -> SimConfig:
-        """This config, or a copy with ``overrides`` replaced."""
+        """This config, or a copy with ``overrides`` replaced; kept because
+        ``bench/workloads.py`` calls it, the stages use ``dataclasses.replace``."""
         return replace(self, **overrides) if overrides else self
 
 
@@ -306,6 +307,8 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
         )
         errors += [f"sweep.{key}[{i}]: must be {rule}, got {v}"
                    for i, v in enumerate(vals) if v is not None and not ok(v)]
+        errors += [f"sweep.{key}[{i}]: repeats {v}"
+                   for i, v in enumerate(vals) if v is not None and v in vals[:i]]
     errors += [f"{name}: must be finite, got {value}" for name, value in (
         ("V", V), ("nu", nu), ("lyapunov_cap", cap), ("eps", eps), ("kappa", kappa),
     ) if value is not None and not math.isfinite(value)]
@@ -349,10 +352,6 @@ def read_config(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError([f"{p}: document root must be an object"])
     return doc
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    return config_from_dict(read_config(path), source=str(path))
 
 
 def dump_preset(name: str = "sensor3") -> dict:

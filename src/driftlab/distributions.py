@@ -50,19 +50,6 @@ class FiniteDistribution:
     def __len__(self) -> int:
         return self.probs.size
 
-    @cached_property
-    def cdf(self) -> np.ndarray:
-        return _freeze(np.cumsum(self.probs))
-
-    @staticmethod
-    def point_mass(n: int, outcome: int) -> "FiniteDistribution":
-        p = np.zeros(n)
-        p[outcome] = 1.0
-        return FiniteDistribution(p)
-
-    @staticmethod
-    def uniform(n: int) -> "FiniteDistribution":
-        return FiniteDistribution(np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -192,14 +179,6 @@ def l1_distance(p: FiniteDistribution, q: FiniteDistribution) -> float:
     return float(np.abs(p.probs - q.probs).sum())
 
 
-def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    return 0.5 * l1_distance(p, q)
-
-
-def metric_entropy(covering: CoveringSet) -> float:
-    return math.log(covering.size)
-
-
 def nearest_member(
     covering: CoveringSet, pi: FiniteDistribution, warn: bool = True
 ) -> tuple[int, float]:
@@ -231,47 +210,6 @@ def inverse_cdf(cdf: np.ndarray, u) -> np.ndarray:
     return np.minimum((cdf <= np.asarray(u)[..., None]).sum(axis=-1), top)
 
 
-def sample(dist: FiniteDistribution, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw over the stored outcome order; identical seed, identical draw."""
-    return int(inverse_cdf(dist.cdf, rng.random()))
-
-
-def window_loglik(member: FiniteDistribution, window: Sequence[int]) -> float:
-    """Average log-likelihood (1/w) sum log member(w_s) over the window.
-
-    Returns -inf when the member puts zero mass on any observed outcome.
-    """
-    w = np.asarray(window, dtype=np.int64)
-    if w.size == 0:
-        raise DomainError("window must be nonempty")
-    if w.min() < 0 or w.max() >= len(member):
-        raise DomainError("window contains out-of-range outcome ids")
-    p = member.probs[w]
-    if np.any(p <= 0):
-        return float("-inf")
-    return float(np.log(p).mean())
-
-
-def divergence(
-    pi_tau: FiniteDistribution,
-    p_j: FiniteDistribution,
-    p_istar: FiniteDistribution,
-) -> float:
-    """Per-slot expectation E_pi[log(P_j / P_istar)].
-
-    Equals -KL(P_istar || P_j) when pi_tau = P_istar; requires both members
-    to carry mass wherever pi_tau does.
-    """
-    if not (len(pi_tau) == len(p_j) == len(p_istar)):
-        raise DimensionError("distribution lengths differ")
-    support = pi_tau.probs > 0
-    if np.any(p_j.probs[support] <= 0) or np.any(p_istar.probs[support] <= 0):
-        raise DomainError("zero member mass on a supported outcome")
-    ratio = np.zeros(len(pi_tau))
-    ratio[support] = np.log(p_j.probs[support]) - np.log(p_istar.probs[support])
-    return float(np.dot(pi_tau.probs, ratio))
-
-
 class Schedule:
     """Non-stationary state schedule: distribution of the joint state at slot t."""
 
@@ -280,11 +218,6 @@ class Schedule:
     def weights_matrix(self, horizon: int) -> np.ndarray:
         """(T, |Ω|) matrix of per-slot probability rows."""
         raise NotImplementedError
-
-    def at(self, t: int) -> FiniteDistribution:
-        if t < 0:
-            raise DomainError("slot index must be nonnegative")
-        return FiniteDistribution(self.weights_matrix(t + 1)[t].copy())
 
 
 @dataclass(frozen=True)
@@ -336,6 +269,3 @@ class PiecewiseSchedule(Schedule):
         rows = np.vstack([d.probs for _, d in self.segments])
         return rows[np.searchsorted(starts, np.arange(horizon), side="right") - 1]
 
-
-def stationary(dist: FiniteDistribution) -> PiecewiseSchedule:
-    return PiecewiseSchedule(limit=dist, segments=((0, dist),))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EstimationError
+from .errors import EstimationError
 from .simulate import EnsembleResult
 from .strategies import CostModel
 
@@ -205,13 +205,6 @@ def error_rate(ensemble: EnsembleResult) -> ErrorRates:
     return ErrorRates(
         per_slot=ensemble.errors.mean(axis=0), run_count=ensemble.run_count
     )
-
-
-def interval_error_rate(ensemble: EnsembleResult, alpha: int, t: int) -> float:
-    """Fraction of runs with at least one wrong detection in [alpha, t]."""
-    if t < alpha:
-        raise DimensionError(f"need t >= alpha, got [{alpha}, {t}]")
-    return float(ensemble.errors[:, alpha : t + 1].any(axis=1).mean())
 
 
 @dataclass(frozen=True)

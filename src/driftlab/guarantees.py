@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,49 +33,11 @@ def clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def mcdiarmid_tail(eps: float, c_list: Sequence[float]) -> float:
-    """exp(-2 eps^2 / sum c_i^2) for independent bounded differences."""
-    c = np.asarray(list(c_list), dtype=np.float64)
-    if eps < 0:
-        raise DomainError(f"eps must be >= 0, got {eps}")
-    if c.size == 0 or np.any(c <= 0):
-        raise DomainError("bounded-difference constants must be positive")
-    return math.exp(-2.0 * eps * eps / float(np.sum(c * c)))
-
-
 def _phi(zeta, div, w, mode: str):
     """Detection exponent of a w-sample window at divergence div (scalars or arrays)."""
     if mode == MODE_LITERAL:
         return 2.0 * zeta * div * div * w
     return 2.0 * div * div * w / zeta
-
-
-def _detection_bound(zeta: float, div: float, w: int, M: int, mode: str) -> float:
-    """M exp(-phi), the detection-error bound of a w-sample window at divergence div."""
-    return math.exp(-_phi(zeta, div, w, mode) + math.log(M))
-
-
-def pe_upper(
-    tau: int,
-    D: int,
-    w_tau: int,
-    zeta: float,
-    div_tau: float,
-    M: int,
-    mode: str = MODE_DEFAULT,
-) -> float:
-    """Detection-error bound at slot tau (raw; may exceed 1).
-
-    ``div_tau`` is the smallest magnitude, over wrong members, of the
-    window-averaged expected log-likelihood ratio.  Slots whose window is
-    incomplete get the uniform-pick error 1/M.
-    """
-    _check_mode(mode)
-    if M < 1:
-        raise ConfigurationError(f"M must be >= 1, got {M}")
-    if tau <= D + w_tau - 1:
-        return 1.0 / M
-    return _detection_bound(zeta, div_tau, w_tau, M, mode)
 
 
 def s_t_delta(
@@ -88,11 +49,12 @@ def s_t_delta(
     M: int,
     mode: str = MODE_DEFAULT,
 ) -> tuple[float, float]:
-    """Per-slot cap S and the interval bound (t - alpha_t) * S."""
+    """Per-slot cap S = M exp(-phi) of the smallest window and divergence, and
+    the interval bound (t - alpha_t) * S."""
     _check_mode(mode)
     if n_min_window < 1:
         raise DomainError(f"minimum window must be >= 1, got {n_min_window}")
-    s = _detection_bound(zeta, min_divergence, n_min_window, M, mode)
+    s = math.exp(-_phi(zeta, min_divergence, n_min_window, mode) + math.log(M))
     return s, (t - alpha_t) * s
 
 
@@ -149,9 +111,10 @@ def pe_sequence(
     each slot's window size (``SimConfig.windows``) and ``div_series`` the
     same slots' divergence floor.
 
-    ``pe_upper`` on every slot, as one array expression: warmup slots hold
-    1/M exactly, and NaN divergence counts as 0.  Past warmup a value may
-    differ from ``pe_upper``'s by 1 ulp (``np.exp`` against ``math.exp``).
+    One array expression: a warmup slot (incomplete window) holds the
+    uniform-pick error 1/M exactly; past warmup a slot holds the
+    ``s_t_delta`` cap at its own window and divergence, NaN counting as 0,
+    which may differ from a scalar ``math.exp`` evaluation by 1 ulp.
     """
     _check_mode(mode)
     if M < 1:

@@ -14,10 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from . import simplex
-from .distributions import CoveringSet, FiniteDistribution, ProductStateSpace, nearest_member
+from .distributions import CoveringSet, FiniteDistribution, nearest_member
 from .errors import ConfigurationError, DimensionError, DomainError
 from .simulate import selection_candidates
-from .strategies import ActionModel, CostModel, StrategySpace, strategy_count
+from .strategies import CostModel, StrategySpace
 
 SOLUTION_TOL = 1e-9
 
@@ -115,13 +115,6 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     return sol
 
 
-def optimality_certificate(inst: LpInstance, sol: LpSolution, tol: float = 1e-7) -> bool:
-    """Post-hoc check that no strategy column has negative reduced cost."""
-    if sol.status != "optimal" or sol.reduced_costs is None:
-        return False
-    return bool(np.all(sol.reduced_costs[: inst.n_strategies] >= -tol))
-
-
 def g_of_x(inst: LpInstance, x: float) -> float:
     """Optimal value with constraint levels c_k + x; +inf when infeasible."""
     if x < 0:
@@ -164,99 +157,3 @@ def gap_delta(
         raise DomainError(f"nu must be > 0, got {nu}")
     _, d = nearest_member(covering, pi, warn=False)
     return float(cost.b_max.max() * (d + nu))
-
-
-@dataclass(frozen=True)
-class Theorem1Instance:
-    lhs: float  # optimum under the nearest member
-    rhs: float  # optimum under pi plus the gap allowance
-    gap: float
-    c_hat: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class Theorem1Report:
-    instances: tuple[Theorem1Instance, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(i.passed for i in self.instances)
-
-
-def _random_small_instance(rng: np.random.Generator, fmax: int, kmax: int):
-    while True:
-        n_users = int(rng.integers(1, 3))
-        a_counts = tuple(int(rng.integers(1, 4)) for _ in range(n_users))
-        w_counts = tuple(int(rng.integers(1, 4)) for _ in range(n_users))
-        actions = ActionModel(a_counts)
-        states = ProductStateSpace(w_counts)
-        f = strategy_count(actions, states)
-        if not 2 <= f <= fmax:
-            continue
-        k = int(rng.integers(0, kmax + 1))
-        tables = rng.uniform(-1.0, 1.0, size=(k + 1, actions.total, states.total))
-        pi = FiniteDistribution(rng.dirichlet(np.ones(states.total)))
-        n_members = int(rng.integers(2, 5))
-        members = tuple(
-            FiniteDistribution(rng.dirichlet(np.ones(states.total)))
-            for _ in range(n_members)
-        )
-        probs = np.concatenate([m.probs for m in members])
-        pos = probs[probs > 0]
-        dists = [float(np.abs(m.probs - pi.probs).sum()) for m in members]
-        covering = CoveringSet(
-            members=members,
-            delta=min(dists) + 1.0,
-            alpha_delta=pos.max() * 1.01 + 1e-12,
-            beta_delta=pos.min() * 0.99,
-        )
-        cost = CostModel(tables=tables, c=np.zeros(k))
-        space = StrategySpace(actions, states, cost)
-        istar, _ = nearest_member(covering, pi, warn=False)
-        member = covering.members[istar]
-        m_hat = int(rng.integers(f))
-        r_pi = space.r_table(pi)
-        r_star = space.r_table(member)
-        c_levels = np.maximum(r_pi[1:, m_hat], r_star[1:, m_hat]) + rng.uniform(
-            0.01, 0.3, size=k
-        )
-        cost = CostModel(tables=tables, c=c_levels)
-        space = StrategySpace(actions, states, cost)
-        return space, pi, covering, istar
-
-
-def theorem1_check(
-    n_instances: int = 100,
-    seed: int = 7,
-    fmax: int = 32,
-    kmax: int = 3,
-) -> Theorem1Report:
-    """Property suite: the nearest-member LP optimum never exceeds the
-    stationary optimum by more than (c_hat + 1) times the gap allowance.
-
-    Instances whose LPs come out infeasible are regenerated, not counted.
-    The Lipschitz probe grid always contains {0, gap}, which is what makes
-    the inequality provable with the empirical constant.
-    """
-    rng = np.random.default_rng(seed)
-    results = []
-    while len(results) < n_instances:
-        space, pi, covering, istar = _random_small_instance(rng, fmax, kmax)
-        member = covering.members[istar]
-        inst_pi = instance_for(space, pi)
-        inst_star = instance_for(space, member)
-        sol_pi = solve_lp(inst_pi)
-        sol_star = solve_lp(inst_star)
-        if sol_pi.status != "optimal" or sol_star.status != "optimal":
-            continue
-        nu = float(rng.uniform(0.01, 0.2))
-        gap = gap_delta(pi, covering, space.cost, nu)
-        grid = sorted(set(np.linspace(0.0, gap, 5)) | {0.0, gap})
-        c_hat = lipschitz_probe(inst_star, grid)[0] if gap > 0 else 0.0
-        rhs = sol_pi.value + (c_hat + 1.0) * gap
-        passed = sol_star.value <= rhs + 1e-9
-        results.append(
-            Theorem1Instance(sol_star.value, rhs, gap, c_hat, passed)
-        )
-    return Theorem1Report(tuple(results))

@@ -19,7 +19,7 @@ from .distributions import (
     GeometricSchedule,
     ProductStateSpace,
 )
-from .strategies import ActionModel, CostModel, StrategySpace
+from .strategies import ActionModel, CostModel
 
 # Fixed construction seed: the covering set is part of the benchmark
 # definition and must not move with the user's run seed.
@@ -104,11 +104,6 @@ def sensor3_covering_and_schedule(
     )
     schedule = GeometricSchedule(limit=limit, start=start, rho=rho)
     return covering, schedule
-
-
-def sensor3_space() -> StrategySpace:
-    actions, states, cost = sensor3_model()
-    return StrategySpace(actions, states, cost)
 
 
 SENSOR3_DEFAULTS = {

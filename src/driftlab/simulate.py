@@ -70,6 +70,8 @@ class SimConfig:
     seed: int
 
     def w_at(self, t: int) -> int:
+        """Window size at slot t; kept because ``bench/workloads.py`` calls it,
+        the stages read ``windows``."""
         return self.window if isinstance(self.window, int) else int(self.window(t))
 
     @cached_property
@@ -136,15 +138,18 @@ class SimConfig:
 class RunTrace:
     omega: np.ndarray  # (T,)
     jstar: np.ndarray  # (T,) member index used (warmup slots hold the random pick)
-    warmup: np.ndarray  # (T,) bool
     m: np.ndarray  # (T,)
     p: np.ndarray  # (T, K+1)
     q: np.ndarray  # (T, K) queues after each slot's update
-    avg: np.ndarray  # (T, K+1)
 
     @property
     def horizon(self) -> int:
         return self.omega.size
+
+    @property
+    def avg(self) -> np.ndarray:
+        """(T, K+1) running time averages of ``p``."""
+        return np.cumsum(self.p, axis=0) / np.arange(1, self.horizon + 1)[:, None]
 
 
 @dataclass
@@ -178,13 +183,6 @@ def update_queues(q: np.ndarray, p_delayed: np.ndarray, c: np.ndarray) -> np.nda
     if q.shape != p_delayed.shape or q.shape[-1:] != c.shape:
         raise DimensionError("queue, penalty, and constraint shapes differ")
     return np.maximum(q + p_delayed - c, 0.0)
-
-
-def lyapunov_drift(q_before: np.ndarray, q_after: np.ndarray) -> tuple[float, float, float]:
-    """(L_before, L_after, drift) with L = ||Q||^2 / 2."""
-    lb = 0.5 * float(np.dot(q_before, q_before))
-    la = 0.5 * float(np.dot(q_after, q_after))
-    return lb, la, la - lb
 
 
 def select_strategy(q: np.ndarray, V: float, r_table: np.ndarray) -> int | np.ndarray:
@@ -369,10 +367,8 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
         q = update_queues(q, p[:, t - D, 1:] if t >= D else no_delayed, c)
         qlog[:, t] = q
         ms[:, t] = m
-    avg = np.cumsum(p, axis=1) / np.arange(1, T + 1)[:, None]
     return [
-        RunTrace(omega=omega[i], jstar=jstar[i], warmup=warm.copy(), m=ms[i],
-                 p=p[i], q=qlog[i], avg=avg[i])
+        RunTrace(omega=omega[i], jstar=jstar[i], m=ms[i], p=p[i], q=qlog[i])
         for i in range(n)
     ]
 

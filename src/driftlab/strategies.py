@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -52,52 +51,6 @@ class StrategyCodec(MixedRadix):
                 "strategy class or shrink the per-user spaces"
             )
         return cls(tuple(a for a, w in pairs for _ in range(w))[::-1])
-
-
-@dataclass(frozen=True)
-class PureStrategy:
-    """Per-user deterministic maps local state id -> local action id."""
-
-    tables: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "tables", tuple(tuple(int(a) for a in t) for t in self.tables)
-        )
-
-
-def strategy_count(actions: ActionModel, states: ProductStateSpace) -> int:
-    """F = prod_i |A_i|^{|Omega_i|}, guarded against unenumerable sizes."""
-    return StrategyCodec.of(actions, states).total
-
-
-def decode_strategy(
-    m: int, actions: ActionModel, states: ProductStateSpace
-) -> PureStrategy:
-    """Strategy id -> strategy, digits in ``StrategyCodec`` order."""
-    slots = iter(StrategyCodec.of(actions, states).decode(m)[::-1])
-    return PureStrategy(tuple(tuple(islice(slots, w)) for w in states.counts))
-
-
-def encode_strategy(
-    s: PureStrategy, actions: ActionModel, states: ProductStateSpace
-) -> int:
-    codec = StrategyCodec.of(actions, states)
-    if tuple(map(len, s.tables)) != states.counts:
-        raise DimensionError("strategy tables do not match the state space")
-    return codec.encode([a for table in s.tables for a in table][::-1])
-
-
-def apply_strategy(
-    s: PureStrategy,
-    omega_id: int,
-    actions: ActionModel,
-    states: ProductStateSpace,
-) -> int:
-    """Joint action id produced when each user applies its own table to its
-    own state component (the distributed-decision condition)."""
-    comps = states.decode(omega_id)
-    return actions.encode([s.tables[i][w] for i, w in enumerate(comps)])
 
 
 @dataclass(frozen=True)
@@ -216,14 +169,6 @@ class StrategySpace:
         out.setflags(write=False)
         return out
 
-    def apply(self, m: int, omega_id: int) -> int:
-        return int(self.actions_of[m, omega_id])
-
-    def r_vector(self, m: int, lam: FiniteDistribution) -> np.ndarray:
-        """Average cost/penalty vector of strategy m under distribution lam."""
-        self._check_dist(lam)
-        return self.realized[:, m, :] @ lam.probs
-
     def r_table(self, lam: FiniteDistribution) -> np.ndarray:
         """(K+1, F) matrix of strategy averages under lam."""
         self._check_dist(lam)
@@ -234,19 +179,15 @@ class StrategySpace:
         """``(ids, rows)``: the ``cover_rows`` of the (F, |Omega|) table of
         sum_k (p_k - c_k)^2, and those rows.  Rows and schedule weights are
         non-negative, so a row <= another row never sets the max in
-        ``b_value``."""
+        ``b_series``."""
         diff = self.realized[1:] - self.cost.c[:, None, None]
         sq = np.einsum("kfs,kfs->fs", diff, diff)
         ids = cover_rows(sq)
         return ids, _freeze(sq[ids])
 
-    def b_value(self, pi: FiniteDistribution) -> float:
-        """Curvature constant: max_m (1/2) sum_k E_pi |p_k - c_k|^2."""
-        self._check_dist(pi)
-        return 0.5 * float(np.max(self.curvature_rows[1] @ pi.probs))
-
     def b_series(self, weights: np.ndarray) -> np.ndarray:
-        """b_value evaluated along a (T, |Omega|) matrix of schedule rows."""
+        """Curvature constant max_m (1/2) sum_k E |p_k - c_k|^2 under each row
+        of a (T, |Omega|) matrix of schedule rows."""
         if weights.ndim != 2 or weights.shape[1] != self.states.total:
             raise DimensionError("weights matrix shape mismatch")
         return 0.5 * (self.curvature_rows[1] @ weights.T).max(axis=0)

@@ -1,15 +1,37 @@
-"""Shared fixtures: an independently built copy of the 3-sensor benchmark.
+"""Shared fixtures: small distributions and schedules, the 3-sensor
+benchmark's strategy space, and an independently built copy of that
+benchmark.
 
-Built by direct per-entry loops so package-side vectorized builders can be
-checked against it.
+The copy is built by direct per-entry loops so package-side vectorized
+builders can be checked against it.
 """
 
 import numpy as np
 
-from driftlab import FiniteDistribution
+from driftlab import FiniteDistribution, PiecewiseSchedule, StrategySpace
 from driftlab.distributions import ProductStateSpace
 from driftlab.guarantees import divergence_window_series, log_ratio_prefix
+from driftlab.presets import sensor3_model
 from driftlab.strategies import ActionModel, CostModel
+
+
+def point_mass(n: int, outcome: int) -> FiniteDistribution:
+    p = np.zeros(n)
+    p[outcome] = 1.0
+    return FiniteDistribution(p)
+
+
+def uniform(n: int) -> FiniteDistribution:
+    return FiniteDistribution(np.full(n, 1.0 / n))
+
+
+def stationary(dist: FiniteDistribution) -> PiecewiseSchedule:
+    return PiecewiseSchedule(limit=dist, segments=((0, dist),))
+
+
+def sensor3_space() -> StrategySpace:
+    actions, states, cost = sensor3_model()
+    return StrategySpace(actions, states, cost)
 
 
 def sensor_tables():

@@ -7,6 +7,7 @@ slots) are shared across criteria through module-scoped fixtures.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +24,13 @@ from driftlab.guarantees import (
     MODE_LITERAL,
     BoundInputs,
     beta_bound,
-    mcdiarmid_tail,
     pac_rhs,
     pe_sequence,
     psi_q_gamma,
 )
-from driftlab.lp import instance_for, solve_lp, theorem1_check
+from driftlab.lp import instance_for, solve_lp
 from driftlab.simulate import run_ensemble, select_strategy
+from oracles import mcdiarmid_tail, theorem1_pairs
 
 OPT_UTILITY = 0.394
 
@@ -52,13 +53,13 @@ def bench_cfg():
 @pytest.fixture(scope="module")
 def ens_v20(bench_cfg):
     t0 = time.perf_counter()
-    ens = run_ensemble(bench_cfg.sim(), bench_cfg.runs)
+    ens = run_ensemble(bench_cfg, bench_cfg.runs)
     return ens, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def ens_v2(bench_cfg):
-    return run_ensemble(bench_cfg.sim(V=2.0), bench_cfg.runs)
+    return run_ensemble(replace(bench_cfg, V=2.0), bench_cfg.runs)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,7 @@ def detect_ensembles(bench_cfg):
     out = {}
     for w in (10, 40):
         out[w] = run_ensemble(
-            bench_cfg.sim(window=w, horizon=600, seed=555), 200
+            replace(bench_cfg, window=w, horizon=600, seed=555), 200
         )
     return out
 
@@ -130,7 +131,7 @@ def test_criterion_5_detection_bound(bench_cfg, detect_ensembles):
     rates = {}
     ok_bound = True
     for w, ens in detect_ensembles.items():
-        sim = bench_cfg.sim(window=w, horizon=600)
+        sim = replace(bench_cfg, window=w, horizon=600)
         div = divergence_series(bench_cfg.schedule, bench_cfg.covering, 0, 0, sim.windows)
         pe = np.minimum(
             pe_sequence(0, sim.windows, bench_cfg.covering.zeta, div,
@@ -152,8 +153,8 @@ def test_criterion_5_detection_bound(bench_cfg, detect_ensembles):
 
 
 def test_criterion_6_theorem1_suite():
-    rep = theorem1_check(n_instances=100, seed=7)
-    n_fail = sum(1 for i in rep.instances if not i.passed)
+    pairs = theorem1_pairs(n_instances=100, seed=7)
+    n_fail = sum(1 for lhs, rhs in pairs if not lhs <= rhs + 1e-9)
     report(
         6, "100 random instances satisfy the nearest-member LP gap bound",
         n_fail == 0, f"failures={n_fail}",
@@ -162,7 +163,7 @@ def test_criterion_6_theorem1_suite():
 
 @pytest.fixture(scope="module")
 def mixing_ensemble(bench_cfg):
-    return run_ensemble(bench_cfg.sim(horizon=1290, seed=77), 400)
+    return run_ensemble(replace(bench_cfg, horizon=1290, seed=77), 400)
 
 
 def test_criterion_7_mixing_consistency(bench_cfg, mixing_ensemble):

@@ -3,7 +3,8 @@
 ``bench/tracer.patched`` replaces ``vars(owner)[attr]`` for each target that
 ``Workload.program_calls`` lists, so a refactor that drops or renames one of
 those names makes every traced benchmark run fail.  The workloads also load
-their documents with ``config_from_dict`` and run ``cfg.sim()``.
+their documents with ``config_from_dict`` and run the loaded config as a
+``SimConfig``.
 """
 
 from pathlib import Path
@@ -32,6 +33,6 @@ def test_every_workload_config_loads_and_runs_as_a_sim_config(monkeypatch):
     from workloads import WORKLOADS
 
     for name, workload in WORKLOADS.items():
-        sim = config_from_dict(workload(0, True).doc(), source=name).sim()
-        assert isinstance(sim, SimConfig), name
-        sim.validate()
+        cfg = config_from_dict(workload(0, True).doc(), source=name)
+        assert isinstance(cfg, SimConfig), name
+        cfg.validate()

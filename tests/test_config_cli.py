@@ -8,7 +8,7 @@ import pytest
 
 from driftlab import cli, simulate
 from driftlab.cli import blocking_constants, fmt, main, read_traces
-from driftlab.config import TOP_KEYS, ConfigError, config_from_dict, dump_preset, load_config
+from driftlab.config import TOP_KEYS, ConfigError, config_from_dict, dump_preset, read_config
 from driftlab.errors import DriftlabError
 from driftlab.simulate import SimConfig, run_ensemble
 
@@ -83,11 +83,11 @@ class TestConfig:
         p = tmp_path / "bad.json"
         p.write_text('{\n  "preset": "sensor3",\n  broken\n}')
         with pytest.raises(ConfigError, match="line 3"):
-            load_config(p)
+            config_from_dict(read_config(p))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "nope.json")
+            config_from_dict(read_config(tmp_path / "nope.json"))
 
     def test_dump_round_trips(self):
         assert set(dump_preset()) == TOP_KEYS
@@ -113,12 +113,11 @@ class TestConfig:
     def test_loaded_config_is_the_sim_config(self):
         cfg = config_from_dict({"preset": "sensor3", "delay": 2})
         assert isinstance(cfg, SimConfig)
-        assert cfg.sim() is cfg
         assert cfg.D == 2
 
     def test_sim_overrides_copy_one_field(self):
         cfg = config_from_dict({"preset": "sensor3"})
-        other = cfg.sim(V=2.0)
+        other = replace(cfg, V=2.0)
         assert (other.V, cfg.V) == (2.0, 20.0)
         assert [f.name for f in fields(cfg)
                 if getattr(other, f.name) is not getattr(cfg, f.name)] == ["V"]
@@ -263,6 +262,8 @@ class TestCli:
         ({"D": [-1]}, "sweep.D[0]"),
         ({"w": [0]}, "sweep.w[0]"),
         ({"s": [0]}, "sweep.s[0]"),
+        ({"s": [5, 5]}, "sweep.s[1]"),
+        ({"V": [5, 2, 5]}, "sweep.V[2]"),
     ])
     def test_bad_sweep_entry_exit_code(self, tmp_path, capsys, sweep, field):
         p = write_doc(tmp_path, {"preset": "sensor3", "sweep": sweep})
@@ -433,7 +434,7 @@ class TestCli:
         assert "runs: 2," in capsys.readouterr().out
         cfg = config_from_dict({"preset": "sensor3", "horizon": 50, "runs": 2,
                                 "seed": 9, "out_dir": out})
-        assert np.array_equal(read_traces(cfg).m, run_ensemble(cfg.sim(), 2).m)
+        assert np.array_equal(read_traces(cfg).m, run_ensemble(cfg, 2).m)
         # a run count past the files on disk names the first missing trace
         assert main(["empirics", "--runs", "4", "--seed", "9"] + common) == 3
         assert "trace_run0003.csv" in capsys.readouterr().err
@@ -466,7 +467,7 @@ class TestCli:
         cfg = config_from_dict({"preset": "sensor3", "horizon": 80, "runs": 3,
                                 "seed": 9, "out_dir": out})
         ens = read_traces(cfg)
-        direct = run_ensemble(cfg.sim(), 3)
+        direct = run_ensemble(cfg, 3)
         assert np.array_equal(ens.jstar, direct.jstar)
         assert np.array_equal(ens.m, direct.m)
         # stored costs round-trip through 12-significant-digit decimal

@@ -13,10 +13,10 @@ from driftlab.estimators import (
     estimate_kappa,
     gap_report,
     _row_ids,
-    interval_error_rate,
 )
 from driftlab.simulate import EnsembleResult
 from driftlab.strategies import CostModel
+from oracles import interval_error_rate
 
 
 def synthetic_ensemble(p, jstar=None, m=None, istar=0, warmup_slots=0):

@@ -15,10 +15,11 @@ import os
 import numpy as np
 import pytest
 
+from _helpers import sensor3_space
 from driftlab import simulate
 from driftlab.cli import main
 from driftlab.distributions import PiecewiseSchedule
-from driftlab.presets import sensor3_covering_and_schedule, sensor3_space
+from driftlab.presets import sensor3_covering_and_schedule
 from driftlab.simulate import RUN_BLOCK, SimConfig, run_ensemble
 
 BLOCK_CROSSING_RUNS = 18

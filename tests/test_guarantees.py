@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_bounds as ref
-from _helpers import divergence_series, sensor_limit
+from _helpers import divergence_series, sensor3_space, sensor_limit, stationary
 from driftlab import (
     ConfigurationError,
     DimensionError,
     DomainError,
     GeometricSchedule,
-    divergence,
-    stationary,
 )
 from driftlab.guarantees import (
     MODE_DEFAULT,
@@ -25,17 +23,16 @@ from driftlab.guarantees import (
     divergence_window_series,
     jbar_ht,
     log_ratio_prefix,
-    mcdiarmid_tail,
     nonstationarity_series,
     pac_rhs,
     pe_sequence,
-    pe_upper,
     psi_q_gamma,
     s_t_delta,
     theta,
     threshold_check,
 )
-from driftlab.presets import sensor3_covering_and_schedule, sensor3_space
+from driftlab.presets import sensor3_covering_and_schedule
+from oracles import divergence, mcdiarmid_tail, pe_upper, schedule_at
 
 
 def binom_tail_above(n, threshold):
@@ -207,7 +204,7 @@ class TestDivergenceSeries:
         for j in range(1, cov.size):
             acc = 0.0
             for s in range(tau - D - w + 1, tau - D + 1):
-                acc += divergence(sch.at(s), cov.members[j], cov.members[0])
+                acc += divergence(schedule_at(sch, s), cov.members[j], cov.members[0])
             per_j.append(abs(acc / w))
         assert div[tau] == pytest.approx(min(per_j), rel=1e-10)
 

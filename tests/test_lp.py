@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import driftlab.lp
-from _helpers import sensor_limit, sensor_tables
+from _helpers import sensor_limit, sensor_tables, uniform
 from driftlab import CoveringSet, DomainError, FiniteDistribution, cli, simplex
 from driftlab.config import config_from_dict
 from driftlab.lp import (
@@ -20,11 +20,10 @@ from driftlab.lp import (
     g_of_x,
     instance_for,
     lipschitz_probe,
-    optimality_certificate,
     solve_lp,
-    theorem1_check,
 )
 from driftlab.strategies import StrategySpace
+from oracles import optimality_certificate, theorem1_pairs
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +240,7 @@ class TestGapDelta:
 
     def test_member_and_small_nu(self, sensor_space):
         pi = sensor_limit()
-        cov = self._covering([pi, FiniteDistribution.uniform(64)])
+        cov = self._covering([pi, uniform(64)])
         assert gap_delta(pi, cov, sensor_space.cost, 1e-9) == pytest.approx(0.0, abs=1e-8)
 
     def test_direct_product(self):
@@ -263,15 +262,14 @@ class TestGapDelta:
 
 class TestTheorem1:
     def test_hundred_random_instances_seed7(self):
-        report = theorem1_check(n_instances=100, seed=7)
-        assert len(report.instances) == 100
-        assert report.all_pass
+        pairs = theorem1_pairs(n_instances=100, seed=7)
+        assert len(pairs) == 100
+        assert all(lhs <= rhs + 1e-9 for lhs, rhs in pairs)
 
     def test_member_equals_pi_has_slack(self):
         # when pi itself is in the covering set both LPs coincide
-        report = theorem1_check(n_instances=5, seed=11)
-        for inst in report.instances:
-            assert inst.lhs <= inst.rhs + 1e-9
+        for lhs, rhs in theorem1_pairs(n_instances=5, seed=11):
+            assert lhs <= rhs + 1e-9
 
 
 class TestBlandPivots:

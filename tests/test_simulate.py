@@ -9,18 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import sensor_limit
+from _helpers import point_mass, sensor3_space, sensor_limit, stationary, uniform
 from driftlab import simulate
-from driftlab import ConfigurationError, CoveringSet, FiniteDistribution, stationary
+from driftlab import ConfigurationError, CoveringSet, FiniteDistribution
 from driftlab.errors import DimensionError, DriftlabError
 from driftlab.distributions import PiecewiseSchedule, ProductStateSpace
-from driftlab.presets import sensor3_covering_and_schedule, sensor3_space
+from driftlab.presets import sensor3_covering_and_schedule
 from driftlab.simulate import (
     RUN_BLOCK,
     SimConfig,
     detect,
     detect_windows,
-    lyapunov_drift,
     run,
     run_ensemble,
     select_strategy,
@@ -28,7 +27,8 @@ from driftlab.simulate import (
     update_queues,
     warmup_detect,
 )
-from driftlab.strategies import ActionModel, CostModel, StrategySpace, decode_strategy
+from driftlab.strategies import ActionModel, CostModel, StrategySpace
+from oracles import b_value, decode_strategy, lyapunov_drift
 
 
 @pytest.fixture(scope="module")
@@ -287,12 +287,12 @@ class TestRun:
         space = StrategySpace(actions, states, cost)
         cov = tiny_covering([0.5, 0.5])
         cfg = SimConfig(
-            space=space, schedule=stationary(FiniteDistribution.uniform(2)),
+            space=space, schedule=stationary(uniform(2)),
             covering=cov, V=1.0, D=0, window=1, horizon=1, seed=0,
         )
         tr = run(cfg)
         assert tr.horizon == 1
-        assert tr.warmup[0]
+        assert cfg.warmup_mask()[0]
 
     def test_point_mass_single_strategy(self):
         actions = ActionModel((1,))
@@ -304,7 +304,7 @@ class TestRun:
         space = StrategySpace(actions, states, cost)
         cfg = SimConfig(
             space=space,
-            schedule=stationary(FiniteDistribution.point_mass(3, 1)),
+            schedule=stationary(point_mass(3, 1)),
             covering=tiny_covering([0.2, 0.6, 0.2]),
             V=3.0, D=0, window=2, horizon=20, seed=4,
         )
@@ -340,7 +340,7 @@ class TestRun:
         tr = run(sensor_cfg)
         space = sensor_cfg.space
         for t in range(tr.horizon):
-            a = space.apply(int(tr.m[t]), int(tr.omega[t]))
+            a = space.actions_of[int(tr.m[t]), int(tr.omega[t])]
             assert np.array_equal(tr.p[t], space.cost.tables[:, a, int(tr.omega[t])])
 
     def test_distributed_decisions(self, sensor_cfg):
@@ -352,7 +352,7 @@ class TestRun:
             comps = space.states.decode(int(tr.omega[t]))
             per_user = [s.tables[i][comps[i]] for i in range(3)]
             joint = space.actions.encode(per_user)
-            assert joint == space.apply(int(tr.m[t]), int(tr.omega[t]))
+            assert joint == space.actions_of[int(tr.m[t]), int(tr.omega[t])]
 
     def test_validation_runs_before_slot_zero(self, sensor_cfg):
         bad = SimConfig(
@@ -461,7 +461,6 @@ class TestEnsemble:
         from _helpers import sensor_limit
         from driftlab import CoveringSet
         from driftlab.lp import instance_for, solve_lp
-        from driftlab.presets import sensor3_space
 
         space = sensor3_space()
         pi = sensor_limit()
@@ -469,7 +468,7 @@ class TestEnsemble:
             members=(pi,), delta=0.5, alpha_delta=0.4, beta_delta=0.0009
         )
         lp_value = solve_lp(instance_for(space, pi)).value
-        curvature = space.b_value(pi)
+        curvature = b_value(space, pi)
         gaps = []
         for v in (5.0, 20.0, 80.0):
             cfg = SimConfig(
@@ -498,7 +497,7 @@ def use_cpus(monkeypatch, n):
     monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-TRACE_FIELDS = ("omega", "jstar", "warmup", "m", "p", "q", "avg")
+TRACE_FIELDS = ("omega", "jstar", "m", "p", "q", "avg")
 RESULT_FIELDS = ("mean_p", "final_avg", "warmup", "p", "jstar", "m", "q")
 
 

@@ -4,18 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import sensor_tables
+from _helpers import point_mass, sensor_tables, uniform
 from driftlab import ConfigurationError, DimensionError, DomainError, FiniteDistribution
 from driftlab.distributions import ProductStateSpace
-from driftlab.strategies import (
-    ActionModel,
-    CostModel,
-    PureStrategy,
-    StrategySpace,
-    apply_strategy,
-    cover_rows,
-    decode_strategy,
-    encode_strategy,
+from driftlab.strategies import ActionModel, CostModel, StrategySpace, cover_rows
+from oracles import (
+    PureStrategy, apply_strategy, b_value, decode_strategy, encode_strategy, r_vector,
     strategy_count,
 )
 
@@ -95,7 +89,7 @@ class TestApply:
             s = decode_strategy(m, actions, states)
             comps = states.decode(w)
             naive = actions.encode([s.tables[i][comps[i]] for i in range(2)])
-            assert space.apply(m, w) == naive
+            assert space.actions_of[m, w] == naive
             assert apply_strategy(s, w, actions, states) == naive
 
     @pytest.mark.parametrize("a_counts, w_counts", [((2, 3), (3, 2)), ((3, 1, 2), (2, 3, 1))])
@@ -132,10 +126,10 @@ class TestRVector:
         for _ in range(20):
             m = int(rng.integers(space.F))
             w = int(rng.integers(states.total))
-            lam = FiniteDistribution.point_mass(states.total, w)
-            a = space.apply(m, w)
+            lam = point_mass(states.total, w)
+            a = space.actions_of[m, w]
             expect = cost.tables[:, a, w]
-            assert np.allclose(space.r_vector(m, lam), expect, atol=1e-15)
+            assert np.allclose(r_vector(space, m, lam), expect, atol=1e-15)
 
     def test_constant_table(self):
         actions = ActionModel((2,))
@@ -144,7 +138,7 @@ class TestRVector:
         space = StrategySpace(actions, states, cost)
         lam = FiniteDistribution(np.array([0.3, 0.7]))
         for m in range(space.F):
-            assert np.allclose(space.r_vector(m, lam), 5.0)
+            assert np.allclose(r_vector(space, m, lam), 5.0)
 
     def test_sensor_all_transmit_brute_force(self):
         actions, states, cost = sensor_tables()
@@ -160,7 +154,7 @@ class TestRVector:
             lam_probs[w] = per[w1] * per[w2] * per[w3]
         assert np.allclose(sorted(joint), sorted(lam_probs))
         lam = FiniteDistribution(lam_probs)
-        r = space.r_vector(m, lam)
+        r = r_vector(space, m, lam)
         assert np.allclose(r[1:], 1.0, atol=1e-12)
         brute = 0.0
         for w in range(64):
@@ -180,7 +174,7 @@ class TestRVector:
             lam2 = FiniteDistribution(raw / raw.sum())
             a = float(rng.random())
             mix = FiniteDistribution(a * lam1.probs + (1 - a) * lam2.probs)
-            r1, r2, rm = (space.r_vector(m, d) for d in (lam1, lam2, mix))
+            r1, r2, rm = (r_vector(space, m, d) for d in (lam1, lam2, mix))
             assert np.all(r1 >= cost.p_min - 1e-12)
             assert np.all(r1 <= cost.p_max + 1e-12)
             assert np.allclose(rm, a * r1 + (1 - a) * r2, atol=1e-12)
@@ -194,7 +188,7 @@ class TestRVector:
         table = space.r_table(lam)
         assert table.shape == (4, space.F)
         for m in rng.integers(0, space.F, size=25):
-            assert np.allclose(table[:, m], space.r_vector(int(m), lam), atol=1e-14)
+            assert np.allclose(table[:, m], r_vector(space, int(m), lam), atol=1e-14)
 
 
 class TestBt:
@@ -203,7 +197,7 @@ class TestBt:
         states = ProductStateSpace((3,))
         cost = CostModel(tables=np.ones((1, 2, 3)), c=np.zeros(0))
         space = StrategySpace(actions, states, cost)
-        assert space.b_value(FiniteDistribution.uniform(3)) == 0.0
+        assert b_value(space, uniform(3)) == 0.0
         assert space.b_series(np.full((4, 3), 1 / 3)).tolist() == [0.0] * 4
 
     def test_penalty_at_constraint(self):
@@ -212,7 +206,7 @@ class TestBt:
         tables = np.ones((2, 2, 3))
         cost = CostModel(tables=tables, c=np.array([1.0]))
         space = StrategySpace(actions, states, cost)
-        assert space.b_value(FiniteDistribution.uniform(3)) == 0.0
+        assert b_value(space, uniform(3)) == 0.0
 
     def test_binary_penalty_quarter(self):
         actions = ActionModel((2,))
@@ -221,7 +215,7 @@ class TestBt:
         tables[1, :, 1] = 1.0  # strategy-independent, 0/1 across two states
         cost = CostModel(tables=tables, c=np.array([0.0]))
         space = StrategySpace(actions, states, cost)
-        assert space.b_value(FiniteDistribution.uniform(2)) == pytest.approx(0.25)
+        assert b_value(space, uniform(2)) == pytest.approx(0.25)
 
     def test_loose_cap(self):
         actions, states, cost = sensor_tables()
@@ -234,7 +228,7 @@ class TestBt:
         for _ in range(20):
             raw = rng.random(states.total)
             pi = FiniteDistribution(raw / raw.sum())
-            assert 0.0 <= space.b_value(pi) <= cap + 1e-12
+            assert 0.0 <= b_value(space, pi) <= cap + 1e-12
 
     def test_b_series_matches_pointwise(self):
         actions, states, cost = sensor_tables()
@@ -245,7 +239,7 @@ class TestBt:
         series = space.b_series(weights)
         for t in range(7):
             assert series[t] == pytest.approx(
-                space.b_value(FiniteDistribution(weights[t])), abs=1e-12
+                b_value(space, FiniteDistribution(weights[t])), abs=1e-12
             )
 
 

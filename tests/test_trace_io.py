@@ -16,7 +16,7 @@ from driftlab import cli
 from driftlab.cli import (
     main, read_traces, trace_columns, trace_path, write_csv, write_trace,
 )
-from driftlab.config import load_config
+from driftlab.config import config_from_dict, read_config
 from driftlab.simulate import RunTrace
 
 
@@ -45,11 +45,9 @@ def traces(draw):
     return RunTrace(
         omega=draw(arrays(np.int64, T, elements=ints)),
         jstar=draw(arrays(np.int64, T, elements=ints)),
-        warmup=np.zeros(T, dtype=bool),
         m=draw(arrays(np.int64, T, elements=ints)),
         p=draw(arrays(np.float64, (T, K + 1), elements=st.sampled_from(P_VALUES))),
         q=draw(arrays(np.float64, (T, K), elements=FINITE)),
-        avg=draw(arrays(np.float64, (T, K + 1), elements=FINITE)),
     )
 
 
@@ -66,8 +64,7 @@ def test_negative_zero_keeps_its_sign(tmp_path):
     p = np.array([[0.0], [-0.0], [0.0], [-0.0]])
     trace = RunTrace(
         omega=np.zeros(4, dtype=np.int64), jstar=np.zeros(4, dtype=np.int64),
-        warmup=np.zeros(4, dtype=bool), m=np.zeros(4, dtype=np.int64),
-        p=p, q=np.zeros((4, 0)), avg=p.copy(),
+        m=np.zeros(4, dtype=np.int64), p=p, q=np.zeros((4, 0)),
     )
     write_trace(tmp_path / "t.csv", trace, "default")
     rows = (tmp_path / "t.csv").read_text().splitlines()[2:]
@@ -80,7 +77,7 @@ def test_read_traces_equals_full_parse(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(path)]) == 0
-    cfg = load_config(path)
+    cfg = config_from_dict(read_config(path), source=str(path))
     K = cfg.space.cost.n_penalties
     ens = read_traces(cfg)
     for i in range(cfg.runs):
