@@ -331,7 +331,7 @@ def bound_columns(cfg: ExperimentConfig) -> list[str]:
          "s_t_delta", "interval_pe", "psi", "gamma_t", "q_up"]
         + [f"pac_k{k}_raw" for k in range(K + 1)]
         + [f"pac_k{k}" for k in range(K + 1)]
-        + [f"beta_bound_s{s}" for s in list(cfg.s_sweep) or [5, 40]]
+        + [f"beta_bound_s{s}" for s in cfg.s_sweep]
         + ["beta_star_raw", "beta_star", "in_waiting_set"]
     )
 
@@ -341,7 +341,6 @@ def bound_rows(cfg: ExperimentConfig, ctx: dict) -> list[list]:
     from its ``_bound_context``."""
     cost = cfg.space.cost
     K = cost.n_penalties
-    s_grid = list(cfg.s_sweep) or [5, 40]
     rows = []
     for w, D, t_min in _bound_grid(cfg):
         sub = replace(cfg, window=w, D=D)
@@ -351,7 +350,7 @@ def bound_rows(cfg: ExperimentConfig, ctx: dict) -> list[list]:
             _unless_inapplicable(
                 beta_bound, s, D, cfg.kappa, cfg.space.F, cfg.space.states.total, K
             ) if mixing else None
-            for s in s_grid
+            for s in cfg.s_sweep
         ]
         ts = sorted(
             set(np.geomspace(t_min, cfg.horizon, 8)
@@ -443,11 +442,10 @@ def _empirics_rows(cfg: ExperimentConfig, ens: EnsembleResult):
         if kap.value is not None
         else ["kappa_hat", "", "", "", kap.reason, kap.pooled_slots]
     )
-    s_grid = list(cfg.s_sweep) or [5, 40]
-    alpha = _beta_alpha(ens.warmup, max(s_grid))
+    alpha = _beta_alpha(ens.warmup, max(cfg.s_sweep))
     betas = {}  # (k, s) -> Beta1Estimate, or None on an estimation error
     for k in (0, 1) if K >= 1 else (0,):
-        for s in s_grid:
+        for s in cfg.s_sweep:
             try:
                 est = betas[k, s] = estimate_beta1(ens, k=k, s=s, alpha=alpha)
                 surv = min(a.surviving for a in est.anchors)
@@ -569,7 +567,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 def cmd_preset_dump(out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    doc = dump_preset("sensor3")
+    doc = dump_preset()
     path = out / "preset_sensor3.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")

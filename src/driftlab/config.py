@@ -28,11 +28,7 @@ from .distributions import (
 )
 from .errors import ConfigurationError
 from .guarantees import MODE_DEFAULT, MODE_LITERAL
-from .presets import (
-    SENSOR3_DEFAULTS,
-    sensor3_covering_and_schedule,
-    sensor3_model,
-)
+from .presets import sensor3_document
 from .simulate import SimConfig
 from .strategies import ActionModel, CostModel, StrategySpace
 
@@ -58,9 +54,17 @@ SWEEP_RULES = {  # key: (element type, rule, check)
     "s": (int, ">= 1", lambda v: v >= 1),
     "D": (int, ">= 0", lambda v: v >= 0),
 }
-COST_KEYS = {"preset", "tables", "constraints"}
-COVERING_KEYS = {"preset", "members", "delta", "alpha_delta", "beta_delta"}
-SCHEDULE_KEYS = {"preset", "kind", "rho", "start", "limit", "segments"}
+COST_KEYS = {"tables", "constraints"}
+COVERING_KEYS = {"members", "delta", "alpha_delta", "beta_delta"}
+SCHEDULE_KEYS = {"kind", "rho", "start", "limit", "segments"}
+# every top-level key but the model, covering and schedule, which a preset
+# or the document supplies
+DEFAULTS: dict[str, Any] = {
+    "preset": None, "seed": 0, "runs": 1, "horizon": 100, "V": 1.0, "delay": 0,
+    "window": 1, "mode": MODE_DEFAULT, "out_dir": "out", "nu": 0.05,
+    "lyapunov_cap": 0.0, "eps": 0.05, "kappa": None,
+    "sweep": {"V": [], "w": [], "s": [], "D": []},
+}
 
 
 @dataclass(frozen=True)
@@ -106,17 +110,17 @@ def _as_int(value) -> int:
     return int(value)
 
 
-def _number(doc, key, errors, path="", required=False, default=None, kind=float):
+def _number(doc, key, errors, path="", required=False, kind=float):
     label = f"{path}[{key}]" if isinstance(key, int) else f"{path}{key}"
     if key not in doc:
         if required:
             errors.append(f"{label}: missing")
-        return default
+        return None
     try:
         return (_as_int if kind is int else kind)(doc[key])
     except (TypeError, ValueError, OverflowError):
         errors.append(f"{label}: expected a {kind.__name__}, got {doc[key]!r}")
-        return default
+        return None
 
 
 def _dist(raw, label, errors) -> FiniteDistribution | None:
@@ -221,6 +225,9 @@ def _build_cost(block, errors) -> CostModel | None:
 
 
 def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
+    """The config of ``doc`` laid over the preset it names, laid over
+    ``DEFAULTS``: a top-level key replaces the whole value below it, except
+    ``sweep``, which is replaced key by key.  An empty ``sweep.s`` is (5, 40)."""
     if not isinstance(doc, dict):
         raise ConfigError([f"{source}: document root must be an object"])
     errors: list[str] = []
@@ -229,75 +236,62 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
     if preset is not None and preset != "sensor3":
         errors.append(f'preset: unknown preset {preset!r} (known: "sensor3")')
         raise ConfigError(errors)
+    base = {**DEFAULTS, **(sensor3_document() if preset else {})}
+    user_sweep = doc.get("sweep")
+    doc = {**base, **doc}
+    if isinstance(user_sweep, dict):
+        doc["sweep"] = {**base["sweep"], **user_sweep}
 
-    space = covering = schedule = None
-    defaults: dict[str, Any] = {
-        "V": 1.0, "delay": 0, "window": 1, "horizon": 100, "runs": 1,
-        "nu": 0.05, "lyapunov_cap": 0.0,
-        "v_sweep": [], "w_sweep": [], "s_sweep": [], "d_sweep": [],
-    }
-    if preset == "sensor3":
-        actions, states, cost = sensor3_model()
-        space = StrategySpace(actions, states, cost)
-        covering, schedule = sensor3_covering_and_schedule(states)
-        defaults.update(SENSOR3_DEFAULTS)
-
-    if space is None or "cost" in doc or "state_space" in doc:
-        ss = doc.get("state_space")
-        aa = doc.get("action_space")
-        if ss is None or aa is None:
-            errors.append(
-                "state_space/action_space: required unless a preset supplies them"
-            )
-        elif "cost" not in doc:
-            errors.append("cost: required unless a preset supplies it")
-        else:
-            try:
-                states = ProductStateSpace(tuple(_as_int(v) for v in ss))
-                actions = ActionModel(tuple(_as_int(v) for v in aa))
-            except (ValueError, TypeError, ConfigurationError) as exc:
-                errors.append(f"state_space/action_space: {exc}")
-                states = actions = None
-            if states is not None:
-                cost = _build_cost(doc["cost"], errors)
-                if cost is not None:
-                    try:
-                        space = StrategySpace(actions, states, cost)
-                    except Exception as exc:
-                        errors.append(f"cost: {exc}")
-    if "covering" in doc:
-        covering = _build_covering(doc["covering"], errors)
-    if "schedule" in doc:
-        schedule = _build_schedule(doc["schedule"], errors)
+    space = None
+    ss = doc.get("state_space")
+    aa = doc.get("action_space")
+    if ss is None or aa is None:
+        errors.append("state_space/action_space: required unless a preset supplies them")
+    elif "cost" not in doc:
+        errors.append("cost: required unless a preset supplies it")
+    else:
+        try:
+            states = ProductStateSpace(tuple(_as_int(v) for v in ss))
+            actions = ActionModel(tuple(_as_int(v) for v in aa))
+        except (ValueError, TypeError, ConfigurationError) as exc:
+            errors.append(f"state_space/action_space: {exc}")
+            states = actions = None
+        if states is not None:
+            cost = _build_cost(doc["cost"], errors)
+            if cost is not None:
+                try:
+                    space = StrategySpace(actions, states, cost)
+                except Exception as exc:
+                    errors.append(f"cost: {exc}")
+    covering = _build_covering(doc["covering"], errors) if "covering" in doc else None
+    schedule = _build_schedule(doc["schedule"], errors) if "schedule" in doc else None
     for name, value in (("covering", covering), ("schedule", schedule)):
         if value is None and not any(e.startswith(name) for e in errors):
             errors.append(f"{name}: required unless a preset supplies it")
 
-    mode = doc.get("mode", MODE_DEFAULT)
+    mode = doc["mode"]
     if mode not in (MODE_DEFAULT, MODE_LITERAL):
         errors.append(f'mode: expected "default" or "literal", got {mode!r}')
-    out_dir = doc.get("out_dir", "out")
+    out_dir = doc["out_dir"]
     if not isinstance(out_dir, str):
         errors.append(f"out_dir: expected a string, got {out_dir!r}")
-    seed = _number(doc, "seed", errors, kind=int, default=0)
-    runs = _number(doc, "runs", errors, kind=int, default=defaults["runs"])
-    horizon = _number(doc, "horizon", errors, kind=int, default=defaults["horizon"])
-    V = _number(doc, "V", errors, default=defaults["V"])
-    delay = _number(doc, "delay", errors, kind=int, default=defaults["delay"])
-    window = _number(doc, "window", errors, kind=int, default=defaults["window"])
-    nu = _number(doc, "nu", errors, default=defaults["nu"])
-    cap = _number(doc, "lyapunov_cap", errors, default=defaults["lyapunov_cap"])
-    eps = _number(doc, "eps", errors, default=0.05)
-    kappa = None
-    if doc.get("kappa") is not None:
-        kappa = _number(doc, "kappa", errors)
-    sweep = doc.get("sweep", {})
+    seed = _number(doc, "seed", errors, kind=int)
+    runs = _number(doc, "runs", errors, kind=int)
+    horizon = _number(doc, "horizon", errors, kind=int)
+    V = _number(doc, "V", errors)
+    delay = _number(doc, "delay", errors, kind=int)
+    window = _number(doc, "window", errors, kind=int)
+    nu = _number(doc, "nu", errors)
+    cap = _number(doc, "lyapunov_cap", errors)
+    eps = _number(doc, "eps", errors)
+    kappa = None if doc["kappa"] is None else _number(doc, "kappa", errors)
+    sweep = doc["sweep"]
     if not _is_object(sweep, "sweep", errors):
         sweep = {}
     _unknown(sweep, SWEEP_RULES, "sweep", errors)
     sweeps = {}
     for key, (kind, rule, ok) in SWEEP_RULES.items():
-        raw = sweep.get(key, defaults[f"{key.lower()}_sweep"])
+        raw = sweep.get(key, [])
         if not isinstance(raw, (list, tuple)):
             errors.append(f"sweep.{key}: expected a list, got {raw!r}")
             raw = []
@@ -309,6 +303,7 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
                    for i, v in enumerate(vals) if v is not None and not ok(v)]
         errors += [f"sweep.{key}[{i}]: repeats {v}"
                    for i, v in enumerate(vals) if v is not None and v in vals[:i]]
+    sweeps["s_sweep"] = sweeps["s_sweep"] or (5, 40)
     errors += [f"{name}: must be finite, got {value}" for name, value in (
         ("V", V), ("nu", nu), ("lyapunov_cap", cap), ("eps", eps), ("kappa", kappa),
     ) if value is not None and not math.isfinite(value)]
@@ -354,47 +349,7 @@ def read_config(path: str | Path) -> dict:
     return doc
 
 
-def dump_preset(name: str = "sensor3") -> dict:
-    """Fully explicit config document for a named preset: its loaded config,
-    field by field."""
-    cfg = config_from_dict({"preset": name})
-    cost, covering, schedule = cfg.space.cost, cfg.covering, cfg.schedule
-    return {
-        "preset": None,
-        "seed": cfg.seed,
-        "runs": cfg.runs,
-        "horizon": cfg.horizon,
-        "V": cfg.V,
-        "delay": cfg.D,
-        "window": cfg.window,
-        "mode": cfg.mode,
-        "out_dir": cfg.out_dir,
-        "nu": cfg.nu,
-        "lyapunov_cap": cfg.lyapunov_cap,
-        "eps": cfg.eps,
-        "kappa": cfg.kappa,
-        "state_space": list(cfg.space.states.per_user_cardinalities),
-        "action_space": list(cfg.space.actions.per_user_action_counts),
-        "cost": {
-            "tables": cost.tables.tolist(),
-            "constraints": cost.c.tolist(),
-        },
-        "covering": {
-            "members": [m.probs.tolist() for m in covering.members],
-            "delta": covering.delta,
-            "alpha_delta": covering.alpha_delta,
-            "beta_delta": covering.beta_delta,
-        },
-        "schedule": {
-            "kind": "geometric",
-            "rho": schedule.rho,
-            "start": schedule.start.probs.tolist(),
-            "limit": schedule.limit.probs.tolist(),
-        },
-        "sweep": {
-            "V": list(cfg.v_sweep),
-            "w": list(cfg.w_sweep),
-            "s": list(cfg.s_sweep),
-            "D": list(cfg.d_sweep),
-        },
-    }
+def dump_preset() -> dict:
+    """The sensor3 preset as a fully explicit config document: exactly what
+    ``{"preset": "sensor3"}`` expands to."""
+    return {**DEFAULTS, **sensor3_document()}

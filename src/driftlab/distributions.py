@@ -107,7 +107,6 @@ class ProductStateSpace(MixedRadix):
     with the first user's component most significant."""
 
     what, digit = "state", "state component"
-    per_user_cardinalities = property(lambda self: self.counts)
 
 
 @dataclass(frozen=True)

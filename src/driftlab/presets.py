@@ -85,8 +85,9 @@ def sensor3_members(states: ProductStateSpace) -> tuple[FiniteDistribution, ...]
 
 
 def sensor3_covering_and_schedule(
-    states: ProductStateSpace, rho: float = 0.99
+    states: ProductStateSpace,
 ) -> tuple[CoveringSet, GeometricSchedule]:
+    rho = 0.99
     members = sensor3_members(states)
     limit, start = members[0], members[1]
     # realized covering radius along the transient path
@@ -106,16 +107,31 @@ def sensor3_covering_and_schedule(
     return covering, schedule
 
 
-SENSOR3_DEFAULTS = {
-    "V": 20.0,
-    "delay": 0,
-    "window": 40,
-    "horizon": 5000,
-    "runs": 1000,
-    "nu": 0.05,
-    "lyapunov_cap": 0.0,
-    "v_sweep": [2.0, 5.0, 20.0],
-    "w_sweep": [10, 40],
-    "s_sweep": [5, 40],
-    "d_sweep": [0],
-}
+def sensor3_document() -> dict:
+    """The preset as a config document: the model, covering and schedule
+    above as plain lists, plus the run and sweep settings that differ from
+    the defaults."""
+    actions, states, cost = sensor3_model()
+    covering, schedule = sensor3_covering_and_schedule(states)
+    return {
+        "V": 20.0,
+        "window": 40,
+        "horizon": 5000,
+        "runs": 1000,
+        "state_space": list(states.counts),
+        "action_space": list(actions.counts),
+        "cost": {"tables": cost.tables.tolist(), "constraints": cost.c.tolist()},
+        "covering": {
+            "members": [m.probs.tolist() for m in covering.members],
+            "delta": covering.delta,
+            "alpha_delta": covering.alpha_delta,
+            "beta_delta": covering.beta_delta,
+        },
+        "schedule": {
+            "kind": "geometric",
+            "rho": schedule.rho,
+            "start": schedule.start.probs.tolist(),
+            "limit": schedule.limit.probs.tolist(),
+        },
+        "sweep": {"V": [2.0, 5.0, 20.0], "w": [10, 40], "s": [5, 40], "D": [0]},
+    }

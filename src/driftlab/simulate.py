@@ -407,9 +407,8 @@ def _worker(config: SimConfig, blocks: list[tuple[int, int]], conn) -> None:
     """Forked worker: send each run of ``blocks`` in order, or the exception
     that stopped it."""
     try:
-        for first, size in blocks:
-            for trace in _run_block(config, first, size):
-                conn.send(trace)
+        for _, trace in _in_process_runs(config, blocks):
+            conn.send(trace)
     except Exception as exc:
         conn.send(exc)
     finally:

@@ -26,7 +26,6 @@ class ActionModel(MixedRadix):
     """Joint action space A = A_1 x ... x A_N, first user most significant."""
 
     what, digit = "action", "action"
-    per_user_action_counts = property(lambda self: self.counts)
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,6 @@ class CostModel:
     @cached_property
     def p_min(self) -> np.ndarray:
         return _freeze(self.tables.min(axis=(1, 2)))
-
-    @cached_property
-    def dp_max(self) -> np.ndarray:
-        return _freeze(self.p_max - self.p_min)
 
     @cached_property
     def b_max(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 from dataclasses import fields, replace
@@ -10,6 +11,7 @@ from driftlab import cli, simulate
 from driftlab.cli import blocking_constants, fmt, main, read_traces
 from driftlab.config import TOP_KEYS, ConfigError, config_from_dict, dump_preset, read_config
 from driftlab.errors import DriftlabError
+from driftlab.presets import sensor3_covering_and_schedule, sensor3_document, sensor3_model
 from driftlab.simulate import SimConfig, run_ensemble
 
 
@@ -97,10 +99,8 @@ class TestConfig:
             if f.name not in ("space", "covering", "schedule"):
                 assert getattr(cfg, f.name) == getattr(base, f.name), f.name
         assert cfg.space.F == base.space.F
-        assert (cfg.space.states.per_user_cardinalities
-                == base.space.states.per_user_cardinalities)
-        assert (cfg.space.actions.per_user_action_counts
-                == base.space.actions.per_user_action_counts)
+        assert cfg.space.states.counts == base.space.states.counts
+        assert cfg.space.actions.counts == base.space.actions.counts
         assert np.array_equal(cfg.space.cost.tables, base.space.cost.tables)
         assert np.array_equal(cfg.space.cost.c, base.space.cost.c)
         assert np.array_equal(cfg.covering.prob_matrix, base.covering.prob_matrix)
@@ -530,6 +530,9 @@ class TestCli:
         ("schedule", 5, "schedule: expected an object, got 5"),
         ("schedule", {"kind": "piecewise", "segments": [{"a": 1}]},
          "schedule.segments[0]: expected a [start, probabilities] pair, got {'a': 1}"),
+        ("covering", {"preset": "x"}, "covering: unknown key 'preset'"),
+        ("cost", {"preset": "x"}, "cost: unknown key 'preset'"),
+        ("schedule", {"preset": "x"}, "schedule: unknown key 'preset'"),
     ])
     def test_malformed_block_exit_code(self, tmp_path, capsys, block, value, message):
         doc = dump_preset()
@@ -554,6 +557,75 @@ class TestCli:
         doc = json.loads((tmp_path / "o" / "preset_sensor3.json").read_text())
         assert doc["V"] == 20.0
         assert len(doc["covering"]["members"]) == 8
+
+    def test_preset_dump_bytes_pinned(self, tmp_path):
+        assert main(["preset-dump", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "preset_sensor3.json").read_bytes()).hexdigest()
+        assert digest == "14db990a57c0e4cd3590b3d5fd11b546a7ab3e2545f4f72412f2b134237005fe"
+
+
+PIPELINE = ("simulate", "lp", "bounds", "empirics", "compare")
+
+
+class TestPresetOverrides:
+    """A key beside ``"preset"`` replaces the preset's value of that key;
+    ``sweep`` is replaced key by key."""
+
+    def run_stages(self, tmp_path, overrides, name="cfg.json"):
+        out = tmp_path / name.removesuffix(".json")
+        p = write_doc(tmp_path, {"preset": "sensor3", **overrides}, name)
+        codes = [main([stage, "--config", str(p), "--out", str(out), "--runs", "2",
+                       "--horizon", "80"]) for stage in PIPELINE]
+        return codes, out
+
+    def test_preset_objects_are_the_builders(self):
+        cfg = config_from_dict({"preset": "sensor3"})
+        actions, states, cost = sensor3_model()
+        covering, schedule = sensor3_covering_and_schedule(states)
+        assert cfg.space.actions.counts == actions.counts
+        assert cfg.space.states.counts == states.counts
+        assert np.array_equal(cfg.space.cost.tables, cost.tables)
+        assert np.array_equal(cfg.space.cost.c, cost.c)
+        assert np.array_equal(cfg.covering.prob_matrix, covering.prob_matrix)
+        for name in ("delta", "alpha_delta", "beta_delta"):
+            assert getattr(cfg.covering, name) == getattr(covering, name), name
+        for name in ("limit", "start"):
+            assert np.array_equal(getattr(cfg.schedule, name).probs,
+                                  getattr(schedule, name).probs), name
+        assert cfg.schedule.rho == schedule.rho
+
+    def test_action_space_alone_names_cost(self, tmp_path, capsys):
+        codes, out = self.run_stages(tmp_path, {"action_space": [3, 3, 3]})
+        assert codes == [2] * len(PIPELINE)
+        err = capsys.readouterr().err
+        assert err.count("\n  cost: ") == len(PIPELINE)
+        assert not out.exists()
+
+    def test_cost_alone_loads(self, tmp_path):
+        codes, out = self.run_stages(tmp_path, {"cost": sensor3_document()["cost"]})
+        assert codes == [0] * len(PIPELINE)
+        _, base = self.run_stages(tmp_path, {}, "base.json")
+        for name in ("lp.csv", "bounds.csv", "compare.csv"):
+            assert (out / name).read_bytes() == (base / name).read_bytes(), name
+
+    def test_state_space_alone_loads(self, tmp_path):
+        codes, _ = self.run_stages(tmp_path, {"state_space": [4, 4, 4]})
+        assert codes == [0] * len(PIPELINE)
+
+    def test_sweep_merges_key_by_key(self, tmp_path):
+        cfg = config_from_dict({"preset": "sensor3", "sweep": {"V": [1.0]}})
+        base = config_from_dict({"preset": "sensor3"})
+        assert cfg.v_sweep == (1.0,)
+        assert (cfg.w_sweep, cfg.s_sweep, cfg.d_sweep) == (
+            base.w_sweep, base.s_sweep, base.d_sweep)
+        codes, out = self.run_stages(tmp_path, {"sweep": {"V": [1.0]}})
+        assert codes == [0] * len(PIPELINE)
+        rows = (out / "bounds.csv").read_text().splitlines()[2:]
+        assert {r.split(",")[1] for r in rows} == {"1"}
+
+    def test_empty_s_sweep_is_5_and_40(self):
+        cfg = config_from_dict({"preset": "sensor3", "sweep": {"s": []}})
+        assert cfg.s_sweep == (5, 40)
 
 
 def _subclasses(cls):

@@ -110,7 +110,6 @@ class TestCostModel:
         cm = CostModel(tables=t, c=np.array([0.1, 0.2]))
         assert np.array_equal(cm.p_max, t.max(axis=(1, 2)))
         assert np.array_equal(cm.p_min, t.min(axis=(1, 2)))
-        assert np.array_equal(cm.dp_max, cm.p_max - cm.p_min)
         assert np.array_equal(cm.b_max, np.maximum(abs(cm.p_max), abs(cm.p_min)))
 
     def test_shape_validation(self):
