@@ -61,10 +61,9 @@ def fmt(x) -> str:
 
 
 def write_csv(path: Path, mode: str, columns: list[str], rows) -> None:
-    lines = [f"# mode={mode}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """``rows``, each as long as ``columns``, formatted cell by cell with ``fmt``."""
+    text = [[fmt(v) for v in row] for row in rows]
+    _write_columns(path, mode, columns, len(text), lambda lo, hi: zip(*text[lo:hi]))
 
 
 def blocking_constants(t: int) -> tuple[int, int, int]:
@@ -102,8 +101,9 @@ def _g12_distinct(col: np.ndarray) -> list[str]:
 
 
 def _write_columns(path: Path, mode: str, columns: list[str], n_rows: int, chunk) -> None:
-    """``write_csv`` of ``n_rows`` rows formatted a column and a chunk at a
-    time: ``chunk(lo, hi)`` returns the text columns of rows lo..hi-1."""
+    """The one CSV writer: a ``# mode=`` line, the column line, then
+    ``n_rows`` rows formatted a column and a chunk at a time:
+    ``chunk(lo, hi)`` returns the text columns of rows lo..hi-1."""
     with path.open("w") as f:
         f.write(f"# mode={mode}\n{','.join(columns)}\n")
         for lo in range(0, n_rows, TRACE_CHUNK):
@@ -112,7 +112,7 @@ def _write_columns(path: Path, mode: str, columns: list[str], n_rows: int, chunk
 
 
 def write_trace(path: Path, trace, mode: str) -> None:
-    """``write_csv`` of one run's trace, formatted a column and a chunk at a time.
+    """One run's trace, formatted a column and a chunk at a time.
 
     The bytes equal a row-by-row ``fmt``: ints print with ``str``, floats
     with ``.12g``.
@@ -132,23 +132,12 @@ def write_trace(path: Path, trace, mode: str) -> None:
     _write_columns(path, mode, trace_columns(K), trace.horizon, chunk)
 
 
-def _last_fields(path: Path) -> list[bytes]:
-    """The comma-separated fields of the last line of ``path``."""
-    with path.open("rb") as f:
-        size, back = f.seek(0, 2), 1024
-        while True:
-            f.seek(max(0, size - back))
-            lines = f.read().split()
-            if len(lines) > 1 or back >= size:
-                return lines[-1].split(b",") if lines else []
-            back *= 4
-
-
 def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
     """Load the traces of runs 0..cfg.runs-1; files of other runs are ignored.
 
-    Only the jstar, m, p and Q columns are parsed; the final averages come
-    from each file's last line.
+    Each file is parsed whole.  The slot column must count 0..T-1, the omega,
+    jstar and m columns must hold ids in range, and the final averages come
+    from the last row.
     """
     out = Path(cfg.out_dir)
     paths = [trace_path(out, i) for i in range(cfg.runs)]
@@ -159,6 +148,8 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
             )
     K = cfg.space.cost.n_penalties
     n, T = cfg.runs, cfg.horizon
+    id_ranges = (("omega", cfg.space.states.total), ("jstar", cfg.covering.size),
+                 ("m", cfg.space.F))
     p = np.empty((n, T, K + 1))
     jstar = np.empty((n, T), dtype=np.int32)
     ms = np.empty((n, T), dtype=np.int32)
@@ -166,26 +157,33 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
     final = np.empty((n, K + 1))
     mean = np.zeros((T, K + 1))
     for i, path in enumerate(paths):
-        fields = _last_fields(path)
-        if len(fields) != 6 + 3 * K:
-            raise DriftlabError(
-                f"{path}: last row has {len(fields)} columns, expected {6 + 3 * K}"
-            )
-        try:  # a cell that is not a number, or a row short of a parsed column
-            data = np.loadtxt(
-                path, delimiter=",", skiprows=2, ndmin=2, usecols=range(2, 5 + 2 * K)
-            )
-            final[i] = [float(v) for v in fields[5 + 2 * K :]]
+        try:  # a cell that is not a number, or rows of unequal width
+            data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
         except ValueError as exc:
             raise DriftlabError(f"{path}: {exc}") from exc
         if data.shape[0] != T:
             raise DriftlabError(
                 f"{path}: {data.shape[0]} slots, config horizon is {T}"
             )
-        jstar[i] = data[:, 0].astype(np.int32)
-        ms[i] = data[:, 1].astype(np.int32)
-        p[i] = data[:, 2 : 3 + K]
-        q[i] = data[:, 3 + K :]
+        if data.shape[1] != 6 + 3 * K:
+            raise DriftlabError(
+                f"{path}: {data.shape[1]} columns, expected {6 + 3 * K}"
+            )
+        if not np.array_equal(data[:, 0], np.arange(T)):
+            raise DriftlabError(f"{path}: column t is not 0..{T - 1}")
+        for j, (name, size) in enumerate(id_ranges, start=1):
+            col = data[:, j]
+            bad = np.flatnonzero((col != np.round(col)) | (col < 0) | (col >= size))
+            if bad.size:
+                raise DriftlabError(
+                    f"{path}: slot {bad[0]}: {name} {col[bad[0]]:g} is not an "
+                    f"integer in [0, {size})"
+                )
+        jstar[i] = data[:, 2]
+        ms[i] = data[:, 3]
+        p[i] = data[:, 4 : 5 + K]
+        q[i] = data[:, 5 + K : 5 + 2 * K]
+        final[i] = data[-1, 5 + 2 * K :]
         mean += p[i]
     return EnsembleResult(
         mean_p=mean / n,
@@ -246,16 +244,16 @@ def cmd_lp(cfg: ExperimentConfig) -> int:
 def _bound_context(cfg: ExperimentConfig) -> dict:
     """The bound inputs that do not depend on the window or the delay.
 
-    The LPs run on the nearest member's candidate columns
-    (``candidate_instance``); one schedule weights matrix feeds the
+    One LP solve on the nearest member's candidate columns
+    (``candidate_instance``) gives ``p_opt`` and ``c_hat``, the sum of its
+    slack duals (``lipschitz_probe``); one schedule weights matrix feeds the
     non-stationarity series and the log-ratio prefix sums that every
     ``(w, D)`` context differences.  Its arrays are read-only.
     """
     inst, _ = candidate_instance(instance_for(cfg.space, cfg.covering.members[cfg.istar]))
     gap = gap_delta(cfg.schedule.limit, cfg.covering, cfg.space.cost, cfg.nu)
-    grid = sorted({0.0, gap} | set(np.linspace(0.0, max(2 * gap, 0.1), 9)))
     try:
-        c_hat, g = lipschitz_probe(inst, grid)
+        c_hat, p_opt = lipschitz_probe(inst)
     except DomainError as exc:
         raise DriftlabError(
             f"the LP under covering member {cfg.istar} (nearest to the schedule "
@@ -263,8 +261,7 @@ def _bound_context(cfg: ExperimentConfig) -> dict:
         ) from exc
     weights = cfg.schedule.weights_matrix(cfg.horizon)
     drift, b_series = nonstationarity_series(cfg.schedule, cfg.space, weights)
-    # grid[0] is 0.0, and inst.perturbed(0.0) keeps c: G(0) is the LP optimum
-    ctx = dict(gap=gap, c_hat=c_hat, p_opt=float(g[0]), drift=drift,
+    ctx = dict(gap=gap, c_hat=c_hat, p_opt=p_opt, drift=drift,
                b_series=b_series, prefix=log_ratio_prefix(weights, cfg.covering, cfg.istar))
     for value in ctx.values():
         if isinstance(value, np.ndarray):

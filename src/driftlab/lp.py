@@ -7,9 +7,7 @@ as a function of the slack perturbation x.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -122,28 +120,20 @@ def g_of_x(inst: LpInstance, x: float) -> float:
     return solve_lp(inst.perturbed(x)).value
 
 
-def lipschitz_probe(inst: LpInstance, grid: Sequence[float]) -> tuple[float, np.ndarray]:
-    """Empirical Lipschitz constant of G over adjacent grid points, and G on
-    the grid.
+def lipschitz_probe(inst: LpInstance) -> tuple[float, float]:
+    """(c_hat, G(0)): a Lipschitz constant of G on x >= 0, from one solve.
 
-    A lower bound on the true constant; grids should bracket the range of
-    perturbations the caller will reason about.
+    G is convex and non-increasing, and the optimal duals lambda_k >= 0 of
+    the constraint rows at x = 0 are a subgradient there, so
+    |G(x) - G(y)| <= sum_k lambda_k |x - y| for all x, y >= 0.  The duals are
+    the reduced costs of the slack columns.
     """
-    xs = np.asarray(list(grid), dtype=np.float64)
-    if xs.size < 2:
-        raise DomainError("lipschitz_probe needs at least two grid points")
-    if np.any(np.diff(xs) <= 0):
-        raise DomainError("grid must be strictly increasing")
-    vals = []
-    for x in xs:
-        v = g_of_x(inst, float(x))
-        if math.isinf(v):
-            raise DomainError(f"grid point x={x} is infeasible")
-        vals.append(v)
-    slopes = [
-        abs(vals[i + 1] - vals[i]) / (xs[i + 1] - xs[i]) for i in range(xs.size - 1)
-    ]
-    return max(slopes), np.array(vals)
+    sol = solve_lp(inst)
+    if sol.status != "optimal":
+        raise DomainError(f"the LP at x={inst.x} has no optimum (status {sol.status})")
+    n, K = inst.n_strategies, inst.n_constraints
+    duals = sol.reduced_costs[n : n + K]
+    return float(np.maximum(duals, 0.0).sum()), sol.value
 
 
 def gap_delta(

@@ -7,8 +7,10 @@ their documents with ``config_from_dict`` and run the loaded config as a
 ``SimConfig``.
 """
 
+import ast
 from pathlib import Path
 
+from driftlab import cli
 from driftlab.config import config_from_dict
 from driftlab.simulate import SimConfig
 
@@ -36,3 +38,26 @@ def test_every_workload_config_loads_and_runs_as_a_sim_config(monkeypatch):
         cfg = config_from_dict(workload(0, True).doc(), source=name)
         assert isinstance(cfg, SimConfig), name
         cfg.validate()
+
+
+def cli_names_read_by_bench() -> set[str]:
+    """Every ``cli.<name>`` in ``bench/*.py``, and every ``(cli, "<name>", ...)``
+    patch target."""
+    names = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "cli":
+                    names.add(node.attr)
+            elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+                owner, attr = node.elts[:2]
+                if (isinstance(owner, ast.Name) and owner.id == "cli"
+                        and isinstance(attr, ast.Constant) and isinstance(attr.value, str)):
+                    names.add(attr.value)
+    return names
+
+
+def test_every_cli_name_the_bench_reads_exists():
+    names = cli_names_read_by_bench()
+    assert {"main", "fmt", "lipschitz_probe"} <= names
+    assert sorted(name for name in names if not hasattr(cli, name)) == []

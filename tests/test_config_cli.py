@@ -183,22 +183,36 @@ class TestCli:
                    "--horizon", "50"])
         assert rc == 3
 
+    # (column, text) written into slot 2: t, omega, jstar and m are columns 0-3
+    CELL_DAMAGE = {"bad_cell": (2, "x"), "bad_omega": (1, "x"), "omega_range": (1, "64"),
+                   "negative_jstar": (2, "-1"), "fractional_m": (3, "1.5"),
+                   "slot_column": (0, "7")}
+
     @pytest.mark.parametrize("stage", ["empirics", "compare"])
     @pytest.mark.parametrize("damage, message", [
         ("bad_cell", "could not convert string 'x' to float64"),
-        ("short_row", "invalid column index 5"),
+        ("short_row", "changed from 15 to 5"),
+        ("bad_omega", "could not convert string 'x' to float64 at row 2, column 2"),
+        ("omega_range", "slot 2: omega 64 is not an integer in [0, 64)"),
+        ("negative_jstar", "slot 2: jstar -1 is not an integer in [0, 8)"),
+        ("fractional_m", "slot 2: m 1.5 is not an integer in [0, 4096)"),
+        ("slot_column", "column t is not 0..59"),
+        ("narrow_file", "14 columns, expected 15"),
     ])
     def test_malformed_trace_exit_code(self, tmp_path, capsys, stage, damage, message):
         argv = ["--out", str(tmp_path / "o"), "--runs", "2", "--horizon", "60"]
         assert main(["simulate"] + argv) == 0
         path = tmp_path / "o" / "trace_run0001.csv"
         lines = path.read_text().splitlines()
-        if damage == "bad_cell":
-            cells = lines[4].split(",")  # slot 2
-            cells[2] = "x"  # jstar
-            lines[4] = ",".join(cells)
-        else:
+        if damage == "short_row":
             lines[10] = ",".join(lines[10].split(",")[:5])  # slot 8 loses Q and avg
+        elif damage == "narrow_file":
+            lines[2:] = [line.rsplit(",", 1)[0] for line in lines[2:]]  # no avg_p3
+        else:
+            column, text = self.CELL_DAMAGE[damage]
+            cells = lines[4].split(",")  # slot 2
+            cells[column] = text
+            lines[4] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main([stage] + argv) == 4

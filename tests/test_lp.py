@@ -23,7 +23,7 @@ from driftlab.lp import (
     solve_lp,
 )
 from driftlab.strategies import StrategySpace
-from oracles import optimality_certificate, theorem1_pairs
+from oracles import chord_lipschitz, optimality_certificate, theorem1_pairs
 
 
 @pytest.fixture(scope="module")
@@ -134,31 +134,46 @@ class TestGofX:
         assert g_of_x(inst, 3.0) == pytest.approx(0.0)
 
 
+@st.composite
+def feasible_instances(draw):
+    """Small LPs with K = 0..3 constraints that column ``j0`` meets at x = 0."""
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 5))
+    r = draw(arrays(np.float64, (k + 1, n), elements=st.integers(-3, 3).map(float)))
+    j0 = draw(st.integers(0, n - 1))
+    slack = draw(arrays(np.float64, k, elements=st.sampled_from([0.0, 0.25, 1.0])))
+    return LpInstance(r=r, c=r[1:, j0] + slack)
+
+
 class TestLipschitzProbe:
     def test_constant_g(self):
         inst = LpInstance(r=np.array([[1.0, 1.0], [0.0, 0.0]]), c=np.array([1.0]))
-        c_hat, g = lipschitz_probe(inst, [0.0, 0.5, 1.0])
-        assert c_hat == 0.0 and g.tolist() == [1.0, 1.0, 1.0]
+        assert lipschitz_probe(inst) == (0.0, 1.0)
 
     def test_hand_solved_ramp(self):
         # theta_1 <= x binds; G(x) = max(0, 1 - x)
         inst = LpInstance(r=np.array([[0.0, 1.0], [1.0, 0.0]]), c=np.array([0.0]))
-        grid = np.linspace(0.0, 1.0, 11)
-        for x in grid:
+        for x in np.linspace(0.0, 1.0, 11):
             assert g_of_x(inst, float(x)) == pytest.approx(max(0.0, 1.0 - x), abs=1e-9)
-        c_hat, g = lipschitz_probe(inst, grid)
-        assert c_hat == pytest.approx(1.0, abs=1e-7)
-        assert g.tolist() == [g_of_x(inst, float(x)) for x in grid]
+        assert lipschitz_probe(inst) == (1.0, 1.0)
 
     def test_sensor_chat_positive(self, sensor_instance):
-        c_hat, _ = lipschitz_probe(sensor_instance, np.linspace(0.0, 0.4, 9))
+        c_hat, _ = lipschitz_probe(sensor_instance)
         assert math.isfinite(c_hat)
         assert c_hat > 0
 
     def test_infeasible_point_named(self):
         inst = LpInstance(r=np.array([[0.0], [2.0]]), c=np.array([0.0]))
-        with pytest.raises(DomainError, match="x=0.5"):
-            lipschitz_probe(inst, [0.5, 3.0])
+        with pytest.raises(DomainError, match="x=0.0"):
+            lipschitz_probe(inst)
+
+    @given(feasible_instances())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_dual_constant_bounds_every_chord(self, inst):
+        c_hat, g0 = lipschitz_probe(inst)
+        chord, _ = chord_lipschitz(inst, np.linspace(0.0, 1.0, 9))
+        assert chord <= c_hat + 1e-9
+        assert g0 == solve_lp(inst).value
 
 
 def assert_same_optimum(full: LpInstance):
@@ -210,20 +225,19 @@ class TestCandidateInstance:
 
     def test_bound_context_probe_and_optimum(self, monkeypatch):
         cfg = config_from_dict({"preset": "sensor3", "horizon": 200})
-        probe, grids = cli.lipschitz_probe, []
-        monkeypatch.setattr(
-            cli, "lipschitz_probe", lambda inst, grid: grids.append(grid) or probe(inst, grid)
-        )
         solves = []
         monkeypatch.setattr(
             driftlab.lp, "solve_lp", lambda inst: solves.append(inst.x) or solve_lp(inst)
         )
         monkeypatch.setattr(cli, "solve_lp", driftlab.lp.solve_lp)
         ctx = cli._bound_context(cfg)
+        assert solves == [0.0]  # one solve gives both c_hat and p_opt
         full = instance_for(cfg.space, cfg.covering.members[cfg.istar])
-        assert len(grids) == 1 and len(grids[0]) >= 9
-        assert solves == list(grids[0])  # p_opt is the probe's x = 0 solve
-        assert ctx["c_hat"] == lipschitz_probe(full, grids[0])[0]
+        gap = ctx["gap"]
+        grid = sorted({0.0, gap} | set(np.linspace(0.0, max(2 * gap, 0.1), 9)))
+        chord = chord_lipschitz(full, grid)[0]
+        assert ctx["c_hat"] >= chord - 1e-12  # the chord carries the solves' rounding
+        assert ctx["c_hat"] == pytest.approx(chord, abs=1e-9)
         assert ctx["p_opt"] == solve_lp(full).value
 
 

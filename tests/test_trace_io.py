@@ -1,8 +1,8 @@
 """Trace CSV writer and reader against straightforward references.
 
 ``write_trace`` formats a column and a chunk of slots at a time; its bytes
-must equal a row-by-row ``fmt`` write.  ``read_traces`` parses only the
-columns it uses; its arrays must equal a full ``np.loadtxt`` parse.
+must equal a row-by-row ``fmt`` write.  ``read_traces`` arrays must equal a
+plain ``np.loadtxt`` parse.
 """
 
 import json
@@ -12,16 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftlab import cli
 from driftlab.cli import (
-    main, read_traces, trace_columns, trace_path, write_csv, write_trace,
+    fmt, main, read_traces, trace_columns, trace_path, write_csv, write_trace,
 )
 from driftlab.config import config_from_dict, read_config
 from driftlab.simulate import RunTrace
 
 
+def reference_csv(path, mode, columns, rows):
+    """One row at a time through ``fmt``: the writers' byte contract."""
+    lines = [f"# mode={mode}", ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def reference_write(path, trace, mode):
-    """One row at a time through ``fmt``: the writer's byte contract."""
     K = trace.q.shape[1]
     rows = (
         [t, int(trace.omega[t]), int(trace.jstar[t]), int(trace.m[t])]
@@ -30,7 +36,7 @@ def reference_write(path, trace, mode):
         + [trace.avg[t, k] for k in range(K + 1)]
         for t in range(trace.horizon)
     )
-    write_csv(path, mode, trace_columns(K), rows)
+    reference_csv(path, mode, trace_columns(K), rows)
 
 
 P_VALUES = [0.0, -0.0, 1.0, -1 / 3, 0.1 + 0.2, 5e-324, -1.0]
@@ -57,6 +63,29 @@ def test_write_trace_equals_row_by_row_fmt(tmp_path_factory, trace, mode):
     d = tmp_path_factory.mktemp("trace")
     write_trace(d / "fast.csv", trace, mode)
     reference_write(d / "ref.csv", trace, mode)
+    assert (d / "fast.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
+CELLS = st.one_of(st.booleans(), st.integers(-5, 5), st.none(), st.sampled_from(["", "a"]),
+                  FINITE, st.sampled_from([np.int32(3), np.float64(-0.0), np.bool_(True)]))
+
+
+@st.composite
+def csv_rows(draw):
+    width = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 1100))  # crosses the 512-row chunk edges
+    row = st.lists(CELLS, min_size=width, max_size=width)
+    return width, draw(st.lists(row, min_size=n, max_size=n))
+
+
+@given(csv_rows())
+@settings(max_examples=15, deadline=None)
+def test_write_csv_equals_row_by_row_fmt(tmp_path_factory, case):
+    width, rows = case
+    d = tmp_path_factory.mktemp("csv")
+    columns = [f"c{j}" for j in range(width)]
+    write_csv(d / "fast.csv", "literal", columns, rows)
+    reference_csv(d / "ref.csv", "literal", columns, rows)
     assert (d / "fast.csv").read_bytes() == (d / "ref.csv").read_bytes()
 
 
@@ -87,12 +116,3 @@ def test_read_traces_equals_full_parse(tmp_path):
         assert ens.p[i].tobytes() == full[:, 4 : 5 + K].tobytes()
         assert ens.q[i].tobytes() == full[:, 5 + K : 5 + 2 * K].tobytes()
         assert ens.final_avg[i].tobytes() == full[-1, 5 + 2 * K :].tobytes()
-
-
-def test_last_fields_of_a_long_last_line(tmp_path):
-    path = tmp_path / "t.csv"
-    last = ",".join(str(v) for v in range(2000))  # longer than the first read
-    path.write_text("# mode=default\nh\n1,2\n" + last + "\n")
-    assert cli._last_fields(path) == last.encode().split(b",")
-    path.write_text("7,8\n")
-    assert cli._last_fields(path) == [b"7", b"8"]
