@@ -9,10 +9,12 @@ strategies (``selection_candidates``), which always contain the full-table
 argmin.
 
 Each run is strictly sequential in t.  Runs are stepped together in blocks
-of at most ``RUN_BLOCK``, slot by slot, through the same public kernels
-(``select_strategy``, ``update_queues``, ``warmup_detect``) that a single
-run uses.  Detection does not depend on the queues, so it is one screened
-pass per block before the slot loop: ``detect_windows`` settles each
+of at most ``RUN_BLOCK``, in passes of D+1 slots, through the same public
+kernels (``select_strategy``, ``update_queues``, ``warmup_detect``) that a
+single run uses.  Slot t selects on queues that hold costs only up to slot
+t-1-D, so the D+1 selections of a pass depend on nothing the pass realizes
+and are made together.  Detection does not depend on the queues, so it is
+one screened pass per block before the loop: ``detect_windows`` settles each
 post-warmup window from prefix sums with a rigorous rounding bound and
 hands the windows it cannot settle to ``detect``, the one exact detection
 kernel.  Every run draws from its own RNG streams derived from (master
@@ -336,7 +338,16 @@ def _draw_states(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
-    """Step runs ``first .. first+n-1`` together, slot by slot."""
+    """Step runs ``first .. first+n-1`` together, D+1 slots per pass.
+
+    Slot t selects on the queues after slot t-1, which hold costs only up to
+    slot t-1-D, so a pass over slots t0..t1-1 (t1 <= t0+D+1) first makes the
+    updates that give the queues of slots t0+1..t1-1, then selects all its
+    (run, slot) rows with one ``select_strategy`` call per member, realizes
+    their costs, and makes its last update.  Each row is scored on its own
+    and each run's RNGs are drawn in slot order, so the streams equal
+    stepping slot by slot; D = 0 gives one-slot passes.
+    """
     space, covering = config.space, config.covering
     K = space.cost.n_penalties
     T, D, V = config.horizon, config.D, config.V
@@ -351,24 +362,27 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
     jstar[:, post] = detect_windows(omega, post, windows[post], D, covering)
     ms = np.empty((n, T), dtype=np.int32)
     p = np.empty((n, T, K + 1))
-    qlog = np.empty((n, T, K))
-    q = np.zeros((n, K))
+    Q = np.zeros((n, T + 1, K))  # Q[:, t]: the queues slot t selects on
     no_delayed = np.zeros((n, K))
-    for t in range(T):
-        if warm[t]:
-            jstar[:, t] = [warmup_detect(covering, rng_warm) for _, rng_warm in rngs]
-        j = jstar[:, t]
-        m = np.empty(n, dtype=np.int64)
+    for t0 in range(0, T, D + 1):
+        t1 = min(t0 + D + 1, T)
+        for t in range(t0, t1):
+            if warm[t]:
+                jstar[:, t] = [warmup_detect(covering, rng_warm) for _, rng_warm in rngs]
+        for t in range(t0, t1 - 1):
+            Q[:, t + 1] = update_queues(Q[:, t], p[:, t - D, 1:] if t >= D else no_delayed, c)
+        j, q = jstar[:, t0:t1], Q[:, t0:t1]  # the pass's (run, slot) rows
+        m = np.empty(j.shape, dtype=np.int64)
         for member in np.unique(j):
             group = j == member
             cand, r_cand = config.candidates[member]
             m[group] = cand[select_strategy(q[group], V, r_cand)]
-        p[:, t] = space.realized[:, m, omega[:, t]].T
-        q = update_queues(q, p[:, t - D, 1:] if t >= D else no_delayed, c)
-        qlog[:, t] = q
-        ms[:, t] = m
+        ms[:, t0:t1] = m
+        p[:, t0:t1] = space.realized[:, m, omega[:, t0:t1]].transpose(1, 2, 0)
+        t = t1 - 1
+        Q[:, t1] = update_queues(Q[:, t], p[:, t - D, 1:] if t >= D else no_delayed, c)
     return [
-        RunTrace(omega=omega[i], jstar=jstar[i], m=ms[i], p=p[i], q=qlog[i])
+        RunTrace(omega=omega[i], jstar=jstar[i], m=ms[i], p=p[i], q=Q[i, 1:])
         for i in range(n)
     ]
 

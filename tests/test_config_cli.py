@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import pickle
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from driftlab import cli, simulate
 from driftlab.cli import blocking_constants, fmt, main, read_traces
@@ -657,3 +662,26 @@ def test_errors_survive_pickling(cls):
     assert type(back) is cls
     assert str(back) == str(exc)
     assert getattr(back, "errors", None) == getattr(exc, "errors", None)
+
+
+@given(
+    delay=st.integers(0, 6), window=st.integers(1, 50), horizon=st.integers(1, 40),
+    runs=st.integers(1, 3),
+)
+@seed(2026)
+@settings(max_examples=12, deadline=None, database=None)
+def test_delay_edges_exit_cleanly(delay, window, horizon, runs):
+    """simulate, empirics and compare on delay/window/horizon edges, including
+    all-warmup runs: an exit code in {0, 2, 3, 4}, a message on stderr for any
+    non-zero exit, and never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {"preset": "sensor3", "delay": delay, "window": window,
+               "horizon": horizon, "runs": runs, "out_dir": str(Path(tmp) / "o")}
+        path = write_doc(Path(tmp), doc)
+        for stage in ("simulate", "empirics", "compare"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([stage, "--config", str(path)])
+            assert rc in (0, 2, 3, 4), (stage, rc)
+            assert rc == 0 or err.getvalue().strip(), (stage, rc)
+            assert "Traceback" not in err.getvalue(), stage

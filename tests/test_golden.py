@@ -69,6 +69,8 @@ def _cases():
             _sensor3(D=1, window=_not_prefix_window, horizon=130, seed=4), 3,
         ),
         "block-crossing": (_sensor3(horizon=60, seed=5), BLOCK_CROSSING_RUNS),
+        # 121 = 40 * 3 + 1: the loop's last D+1-slot pass holds one slot
+        "short-last-pass": (_sensor3(D=2, window=20, horizon=121, seed=9), 3),
     }
 
 
@@ -81,6 +83,8 @@ GOLDEN = {
         "1dab41bec4efc96f9eb32a7629229c9dd25313ff0aed46984c9b5df3f8623cf7",
     "block-crossing":
         "a4c56559f4b718b3c2659671cbb391e48b5bd3838d2b2d2653831a57aa8e1263",
+    "short-last-pass":
+        "6380cc3c33a83356efe4bc00759b0e1a8708bb7789d0db82a4032434674cfdc9",
 }
 
 

@@ -415,6 +415,37 @@ class TestRun:
             assert np.allclose(tr.q[t], q, atol=1e-15)
 
 
+class TestEverySlotReplay:
+    """Every slot of every run equals the public kernels called on the
+    recorded trace, on the full r_table: the loop's passes, candidate sets
+    and run blocks change nothing."""
+
+    @pytest.mark.parametrize("D, horizon, window", [
+        (0, 23, 7), (1, 25, 7), (2, 29, 5), (5, 40, 6), (5, 4, 3), (2, 2, 9),
+    ])
+    def test_kernels_reproduce_every_slot(self, sensor_cfg, D, horizon, window):
+        cfg = SimConfig(
+            space=sensor_cfg.space, schedule=sensor_cfg.schedule,
+            covering=sensor_cfg.covering, V=20.0, D=D, window=window,
+            horizon=horizon, seed=D + 11,
+        )
+        if D >= horizon:
+            assert cfg.warmup_mask().all()
+        space = cfg.space
+        tables = [space.r_table(member) for member in cfg.covering.members]
+        c = space.cost.c
+        zeros = np.zeros(c.size)
+        traces = []
+        run_ensemble(cfg, 3, on_trace=lambda i, tr: traces.append(tr), store_runs=False)
+        for i, tr in enumerate(traces):
+            for t in range(horizon):
+                q_prev = tr.q[t - 1] if t else zeros
+                assert tr.m[t] == select_strategy(q_prev, cfg.V, tables[tr.jstar[t]]), (i, t)
+                delayed = tr.p[t - D, 1:] if t >= D else zeros
+                assert np.array_equal(tr.q[t], update_queues(q_prev, delayed, c)), (i, t)
+                assert np.array_equal(tr.p[t], space.realized[:, tr.m[t], tr.omega[t]]), (i, t)
+
+
 class TestEnsemble:
     def test_single_run_equals_trace(self, sensor_cfg):
         ens = run_ensemble(sensor_cfg, 1)
