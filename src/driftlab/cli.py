@@ -39,10 +39,11 @@ from .guarantees import (
     pe_sequence,
     psi_q_gamma,
     s_t_delta,
+    theta,
     threshold_check,
 )
 from .lp import candidate_instance, gap_delta, instance_for, lipschitz_probe, solve_lp
-from .simulate import EnsembleResult, run_ensemble
+from .simulate import EnsembleResult, RunTrace, merge_runs, run_ensemble
 
 THETA_EPS = 1e-12
 TRACE_CHUNK = 512  # rows formatted per write in _write_columns
@@ -137,7 +138,7 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
 
     Each file is parsed whole.  The slot column must count 0..T-1, the omega,
     jstar and m columns must hold ids in range, and the final averages come
-    from the last row.
+    from the last row.  ``merge_runs`` builds the ensemble.
     """
     out = Path(cfg.out_dir)
     paths = [trace_path(out, i) for i in range(cfg.runs)]
@@ -147,55 +148,40 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
                 f"missing trace {path}: {cfg.runs} runs expected (run `simulate` first)"
             )
     K = cfg.space.cost.n_penalties
-    n, T = cfg.runs, cfg.horizon
+    T = cfg.horizon
     id_ranges = (("omega", cfg.space.states.total), ("jstar", cfg.covering.size),
                  ("m", cfg.space.F))
-    p = np.empty((n, T, K + 1))
-    jstar = np.empty((n, T), dtype=np.int32)
-    ms = np.empty((n, T), dtype=np.int32)
-    q = np.empty((n, T, K))
-    final = np.empty((n, K + 1))
-    mean = np.zeros((T, K + 1))
-    for i, path in enumerate(paths):
-        try:  # a cell that is not a number, or rows of unequal width
-            data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
-        except ValueError as exc:
-            raise DriftlabError(f"{path}: {exc}") from exc
-        if data.shape[0] != T:
-            raise DriftlabError(
-                f"{path}: {data.shape[0]} slots, config horizon is {T}"
-            )
-        if data.shape[1] != 6 + 3 * K:
-            raise DriftlabError(
-                f"{path}: {data.shape[1]} columns, expected {6 + 3 * K}"
-            )
-        if not np.array_equal(data[:, 0], np.arange(T)):
-            raise DriftlabError(f"{path}: column t is not 0..{T - 1}")
-        for j, (name, size) in enumerate(id_ranges, start=1):
-            col = data[:, j]
-            bad = np.flatnonzero((col != np.round(col)) | (col < 0) | (col >= size))
-            if bad.size:
+
+    def runs():
+        for i, path in enumerate(paths):
+            try:  # a cell that is not a number, or rows of unequal width
+                data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+            except ValueError as exc:
+                raise DriftlabError(f"{path}: {exc}") from exc
+            if data.shape[0] != T:
                 raise DriftlabError(
-                    f"{path}: slot {bad[0]}: {name} {col[bad[0]]:g} is not an "
-                    f"integer in [0, {size})"
+                    f"{path}: {data.shape[0]} slots, config horizon is {T}"
                 )
-        jstar[i] = data[:, 2]
-        ms[i] = data[:, 3]
-        p[i] = data[:, 4 : 5 + K]
-        q[i] = data[:, 5 + K : 5 + 2 * K]
-        final[i] = data[-1, 5 + 2 * K :]
-        mean += p[i]
-    return EnsembleResult(
-        mean_p=mean / n,
-        final_avg=final,
-        run_count=n,
-        istar=cfg.istar,
-        warmup=cfg.warmup_mask(),
-        p=p,
-        jstar=jstar,
-        m=ms,
-        q=q,
-    )
+            if data.shape[1] != 6 + 3 * K:
+                raise DriftlabError(
+                    f"{path}: {data.shape[1]} columns, expected {6 + 3 * K}"
+                )
+            if not np.array_equal(data[:, 0], np.arange(T)):
+                raise DriftlabError(f"{path}: column t is not 0..{T - 1}")
+            for j, (name, size) in enumerate(id_ranges, start=1):
+                col = data[:, j]
+                bad = np.flatnonzero((col != np.round(col)) | (col < 0) | (col >= size))
+                if bad.size:
+                    raise DriftlabError(
+                        f"{path}: slot {bad[0]}: {name} {col[bad[0]]:g} is not an "
+                        f"integer in [0, {size})"
+                    )
+            omega, jstar, m = data[:, 1:4].T.astype(np.int32)
+            trace = RunTrace(omega=omega, jstar=jstar, m=m, p=data[:, 4 : 5 + K],
+                             q=data[:, 5 + K : 5 + 2 * K])
+            yield i, trace, data[-1, 5 + 2 * K :]
+
+    return merge_runs(cfg, cfg.runs, runs())
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -342,11 +328,10 @@ def bound_rows(cfg: ExperimentConfig, ctx: dict) -> list[list]:
     for w, D, t_min in _bound_grid(cfg):
         sub = replace(cfg, window=w, D=D)
         div, pe = _detection_series(sub, ctx)
-        mixing = cfg.kappa is not None and cfg.kappa * max(D, 1) < LOG3
         beta_vals = [
             _unless_inapplicable(
                 beta_bound, s, D, cfg.kappa, cfg.space.F, cfg.space.states.total, K
-            ) if mixing else None
+            )
             for s in cfg.s_sweep
         ]
         ts = sorted(
@@ -374,17 +359,15 @@ def bound_rows(cfg: ExperimentConfig, ctx: dict) -> list[list]:
                         pac_rhs, k, eps_k, inputs, 0.0, pe_sum, mean_k, cfg.mode
                     ))
                 pac_cl = [None if v is None else clamp01(v) for v in pac_raw]
-                bstar = waiting = None
-                if mixing:
-                    try:
-                        bstar = beta_star(inputs, s_raw)[0]
-                        gamma0 = min(1.0, 2.0 * bstar + 1e-6)
-                        waiting = threshold_check(
-                            t, inputs.alpha_t, inputs.u_t, cfg.eps, gamma0,
-                            bstar, float(inputs.dp_max[0]),
-                        )
-                    except DriftlabError:
-                        bstar = waiting = None
+                try:
+                    bstar = beta_star(inputs, s_raw)[0]
+                    gamma0 = min(1.0, 2.0 * bstar + 1e-6)
+                    waiting = threshold_check(
+                        t, inputs.alpha_t, inputs.u_t, cfg.eps, gamma0,
+                        bstar, float(inputs.dp_max[0]),
+                    )
+                except DriftlabError:
+                    bstar = waiting = None
                 rows.append(
                     [t, V, D, w, inputs.alpha_t, inputs.u_t, inputs.v_t,
                      cfg.covering.delta, cfg.covering.zeta, ctx["c_hat"],
@@ -481,7 +464,10 @@ def cmd_empirics(cfg: ExperimentConfig) -> int:
     if kap.value is None:
         print(f"kappa_hat: undefined ({kap.reason})")
     else:
-        applicable = "applicable" if kap.value < LOG3 else "NOT applicable (>= log 3)"
+        applicable = (
+            "applicable" if _unless_inapplicable(theta, kap.value, cfg.D) is not None
+            else "NOT applicable (kappa * max(D, 1) >= log 3)"
+        )
         print(f"kappa_hat: {fmt(kap.value)} -> mixing bound {applicable}")
     print(f"wrote empirics.csv and error_rates.csv to {out}")
     return 0
@@ -536,15 +522,16 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     if kap.value is None:
         rows.append(["kappa_hat", "", "", "", LOG3, cfg.mode, kap.reason])
     else:
+        mixing = _unless_inapplicable(theta, kap.value, cfg.D) is not None
         rows.append(["kappa_hat", "", "", kap.value, LOG3, cfg.mode,
-                     "applicable" if kap.value < LOG3 else "inapplicable"])
+                     "applicable" if mixing else "inapplicable"])
     for (k, s), est in betas.items():
+        bb = _unless_inapplicable(beta_bound, s, cfg.D, kap.value, cfg.space.F,
+                                  cfg.space.states.total, K)
         if est is None:
             rows.append([f"beta1_k{k}_s{s}", k, s, "", "", cfg.mode,
                          "estimation-error"])
-        elif kap.value is not None and kap.value < LOG3:
-            bb = beta_bound(s, cfg.D, kap.value, cfg.space.F,
-                            cfg.space.states.total, K)
+        elif bb is not None:
             ok = est.value <= bb + 3 * est.ci_half
             rows.append([f"beta1_k{k}_s{s}", k, s, est.value,
                          bb + 3 * est.ci_half, cfg.mode, bool(ok)])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -83,10 +83,9 @@ class ExperimentConfig(SimConfig):
     s_sweep: tuple[int, ...]
     d_sweep: tuple[int, ...]
 
-    def sim(self, **overrides: Any) -> SimConfig:
-        """This config, or a copy with ``overrides`` replaced; kept because
-        ``bench/workloads.py`` calls it, the stages use ``dataclasses.replace``."""
-        return replace(self, **overrides) if overrides else self
+    def sim(self) -> SimConfig:
+        """This config; kept because ``bench/workloads.py`` calls it."""
+        return self
 
 
 def _unknown(keys, allowed, path, errors):

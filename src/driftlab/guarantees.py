@@ -309,8 +309,13 @@ def threshold_check(
     return (t - alpha_t) > rhs
 
 
-def theta(kappa: float, D: int) -> float:
-    """Contraction coefficient max{(e^{kappa D} - 1)/2, 1/2}; D = 0 uses e^kappa."""
+def theta(kappa: float | None, D: int) -> float:
+    """Contraction coefficient max{(e^{kappa D} - 1)/2, 1/2}; D = 0 uses e^kappa.
+
+    Raises ``DomainError`` where the mixing bound does not apply: kappa
+    unknown, or kappa * max(D, 1) >= log 3."""
+    if kappa is None:
+        raise DomainError("the mixing bound needs kappa")
     if kappa < 0:
         raise DomainError(f"kappa must be >= 0, got {kappa}")
     expo = kappa if D == 0 else kappa * D
@@ -322,7 +327,7 @@ def theta(kappa: float, D: int) -> float:
     return max((math.exp(expo) - 1.0) / 2.0, 0.5)
 
 
-def beta_bound(s: int, D: int, kappa: float, F: int, n_outcomes: int, K: int) -> float:
+def beta_bound(s: int, D: int, kappa: float | None, F: int, n_outcomes: int, K: int) -> float:
     """Mixing-coefficient bound at lag s; strictly decreasing in s."""
     th = theta(kappa, D)
     if D == 0:
@@ -347,8 +352,6 @@ def beta_star(
     The lag-u_t mixing bound does not depend on k, so the cost-side and the
     max-over-penalties value coincide.
     """
-    if inputs.kappa is None:
-        raise DomainError("beta_star needs kappa")
     bb = beta_bound(
         inputs.u_t, inputs.D, inputs.kappa, inputs.F, inputs.n_outcomes, inputs.K
     )

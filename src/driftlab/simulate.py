@@ -36,7 +36,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -72,9 +72,8 @@ class SimConfig:
     seed: int
 
     def w_at(self, t: int) -> int:
-        """Window size at slot t; kept because ``bench/workloads.py`` calls it,
-        the stages read ``windows``."""
-        return self.window if isinstance(self.window, int) else int(self.window(t))
+        """``windows[t]``; kept because ``bench/workloads.py`` calls it."""
+        return int(self.windows[t])
 
     @cached_property
     def windows(self) -> np.ndarray:
@@ -321,9 +320,9 @@ def detect_windows(
     return out
 
 
-def warmup_detect(covering: CoveringSet, rng: np.random.Generator) -> int:
-    """Uniform random member pick for slots whose window is incomplete."""
-    return int(rng.integers(covering.size))
+def warmup_detect(covering: CoveringSet, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size,) uniform random member picks for slots whose window is incomplete."""
+    return rng.integers(covering.size, size=size)
 
 
 def run_rngs(master_seed: int, run_index: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -344,9 +343,10 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
     slot t-1-D, so a pass over slots t0..t1-1 (t1 <= t0+D+1) first makes the
     updates that give the queues of slots t0+1..t1-1, then selects all its
     (run, slot) rows with one ``select_strategy`` call per member, realizes
-    their costs, and makes its last update.  Each row is scored on its own
-    and each run's RNGs are drawn in slot order, so the streams equal
-    stepping slot by slot; D = 0 gives one-slot passes.
+    their costs, and makes its last update; warmup picks and detections come
+    first.  Each row is scored on its own and each run's RNGs are drawn in
+    slot order, so the streams equal stepping slot by slot; D = 0 gives
+    one-slot passes.
     """
     space, covering = config.space, config.covering
     K = space.cost.n_penalties
@@ -358,6 +358,8 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
     omega = np.stack([_draw_states(config.cdf, rng_states) for rng_states, _ in rngs])
 
     jstar = np.empty((n, T), dtype=np.int32)
+    for i, (_, rng_warm) in enumerate(rngs):  # a run's warmup picks, in slot order
+        jstar[i, warm] = warmup_detect(covering, rng_warm, int(warm.sum()))
     post = np.flatnonzero(~warm)
     jstar[:, post] = detect_windows(omega, post, windows[post], D, covering)
     ms = np.empty((n, T), dtype=np.int32)
@@ -366,9 +368,6 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
     no_delayed = np.zeros((n, K))
     for t0 in range(0, T, D + 1):
         t1 = min(t0 + D + 1, T)
-        for t in range(t0, t1):
-            if warm[t]:
-                jstar[:, t] = [warmup_detect(covering, rng_warm) for _, rng_warm in rngs]
         for t in range(t0, t1 - 1):
             Q[:, t + 1] = update_queues(Q[:, t], p[:, t - D, 1:] if t >= D else no_delayed, c)
         j, q = jstar[:, t0:t1], Q[:, t0:t1]  # the pass's (run, slot) rows
@@ -477,31 +476,58 @@ def _forked_runs(config: SimConfig, blocks: list[tuple[int, int]], workers: int)
             conn.close()
 
 
+def merge_runs(
+    config: SimConfig,
+    n_runs: int,
+    runs: Iterable[tuple[int, RunTrace, np.ndarray]],
+    on_trace: Callable[[int, RunTrace], None] | None = None,
+    store_runs: bool = True,
+) -> EnsembleResult:
+    """The ensemble of ``runs``, (run index, trace, final time averages) in
+    run order, from the simulator or from trace files.  ``on_trace`` sees each
+    run as it is merged; ``store_runs=False`` drops the per-run arrays that
+    only the estimators need, bounding memory for large ensembles."""
+    T = config.horizon
+    K = config.space.cost.n_penalties
+    sum_p = np.zeros((T, K + 1))
+    final = np.empty((n_runs, K + 1))
+    per_run = dict(
+        p=np.empty((n_runs, T, K + 1)),
+        jstar=np.empty((n_runs, T), dtype=np.int32),
+        m=np.empty((n_runs, T), dtype=np.int32),
+        q=np.empty((n_runs, T, K)),
+    ) if store_runs else {}
+    for i, tr, final_avg in runs:
+        sum_p += tr.p
+        final[i] = final_avg
+        for name, arr in per_run.items():
+            arr[i] = getattr(tr, name)
+        if on_trace is not None:
+            on_trace(i, tr)
+    return EnsembleResult(
+        mean_p=sum_p / n_runs,
+        final_avg=final,
+        run_count=n_runs,
+        istar=config.istar,
+        warmup=config.warmup_mask(),
+        **per_run,
+    )
+
+
 def run_ensemble(
     config: SimConfig,
     n_runs: int,
     on_trace: Callable[[int, RunTrace], None] | None = None,
     store_runs: bool = True,
 ) -> EnsembleResult:
-    """Independent seeded runs merged by run index.
+    """Independent seeded runs merged by run index (``merge_runs``).
 
-    ``on_trace`` is invoked with each completed run, in run order (for
-    streaming output); ``store_runs=False`` drops the per-run arrays that
-    only the estimators need, bounding memory for large ensembles.  Blocks
-    run in forked workers when there is more than one usable CPU (see the
-    module docstring); ``on_trace`` and the merge run in this process.
+    Blocks run in forked workers when there is more than one usable CPU (see
+    the module docstring); ``on_trace`` and the merge run in this process.
     """
     if n_runs < 1:
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
     config.validate()
-    T = config.horizon
-    K = config.space.cost.n_penalties
-    sum_p = np.zeros((T, K + 1))
-    final = np.empty((n_runs, K + 1))
-    p_runs = np.empty((n_runs, T, K + 1)) if store_runs else None
-    j_runs = np.empty((n_runs, T), dtype=np.int32) if store_runs else None
-    m_runs = np.empty((n_runs, T), dtype=np.int32) if store_runs else None
-    q_runs = np.empty((n_runs, T, K)) if store_runs else None
     workers = _worker_count(n_runs)
     blocks = _partition(n_runs, workers)
     runs = (
@@ -509,24 +535,6 @@ def run_ensemble(
         else _in_process_runs(config, blocks)
     )
     with contextlib.closing(runs):
-        for i, tr in runs:
-            sum_p += tr.p
-            final[i] = tr.avg[-1]
-            if store_runs:
-                p_runs[i] = tr.p
-                j_runs[i] = tr.jstar
-                m_runs[i] = tr.m
-                q_runs[i] = tr.q
-            if on_trace is not None:
-                on_trace(i, tr)
-    return EnsembleResult(
-        mean_p=sum_p / n_runs,
-        final_avg=final,
-        run_count=n_runs,
-        istar=config.istar,
-        warmup=config.warmup_mask(),
-        p=p_runs,
-        jstar=j_runs,
-        m=m_runs,
-        q=q_runs,
-    )
+        return merge_runs(
+            config, n_runs, ((i, tr, tr.avg[-1]) for i, tr in runs), on_trace, store_runs
+        )

@@ -11,6 +11,8 @@ do not count, nor attributes of a module the package imports from outside
 (``np.add.at`` is not a call of ``Schedule.at``), nor dunder methods, which
 Python calls implicitly.  Attributes are matched by name alone, so a method
 that shares its name with an attribute used elsewhere passes unseen.
+
+Every name a module but ``__init__.py`` imports must be used in that module.
 """
 
 import ast
@@ -99,3 +101,24 @@ def test_every_kept_name_is_defined():
         for qualified, _, _ in _definitions(ast.parse(path.read_text()))
     }
     assert sorted(set(KEEP) - defined) == []
+
+
+def _imported_names(tree):
+    """Local names bound by each import but ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the public API
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in _imported_names(tree)
+                   if name not in used]
+    assert unused == []

@@ -20,6 +20,20 @@ from driftlab.presets import sensor3_covering_and_schedule, sensor3_document, se
 from driftlab.simulate import SimConfig, run_ensemble
 
 
+DROP = object()  # test_malformed_block_exit_code: delete the key
+# one user, two members; V 2, window 30, seed 1, 100 runs x 300 slots
+ONE_USER = {
+    "state_space": [3], "action_space": [2],
+    "cost": {"tables": [[[-1, 0, 0], [-1, 0, 0]], [[0, 1, 1], [1, 1, 0]]],
+             "constraints": [0.4]},
+    "covering": {"members": [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]], "delta": 0.9,
+                 "alpha_delta": 0.99, "beta_delta": 0.01},
+    "schedule": {"kind": "piecewise", "limit": [0.8, 0.1, 0.1],
+                 "segments": [[0, [0.8, 0.1, 0.1]]]},
+    "V": 2, "window": 30, "seed": 1, "runs": 100, "horizon": 300,
+}
+
+
 def write_doc(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -552,13 +566,62 @@ class TestCli:
         ("covering", {"preset": "x"}, "covering: unknown key 'preset'"),
         ("cost", {"preset": "x"}, "cost: unknown key 'preset'"),
         ("schedule", {"preset": "x"}, "schedule: unknown key 'preset'"),
+        ("preset", "sensor4", "preset: unknown preset 'sensor4' (known: \"sensor3\")"),
+        (None, [], "<cfg>: document root must be an object"),
+        ("state_space", DROP,
+         "state_space/action_space: required unless a preset supplies them"),
+        ("cost", DROP, "cost: required unless a preset supplies it"),
+        ("cost", {"tables": None}, "cost.tables: missing"),
+        ("schedule", {"kind": "bogus"},
+         "schedule.kind: expected 'geometric' or 'piecewise', got 'bogus'"),
+        ("covering", {"members": []}, "covering.members: expected a non-empty list, got []"),
+        ("covering", {"delta": -1}, "covering: covering radius must be positive, got -1.0"),
+        ("cost", {"tables": [[1.0, 2.0], [3.0, 4.0]]},
+         "cost: tables must have shape (K+1, |A|, |Omega|)"),
+        ("sweep", 5, "sweep: expected an object, got 5"),
     ])
     def test_malformed_block_exit_code(self, tmp_path, capsys, block, value, message):
+        """The explicit preset document (no ``preset`` key) with ``block``
+        replaced, merged into when ``value`` is an object, or dropped on
+        ``DROP``; block None replaces the whole document."""
         doc = dump_preset()
-        doc[block] = {**doc[block], **value} if isinstance(value, dict) else value
+        if block is None:
+            doc = value
+        elif value is DROP:
+            del doc[block]
+        else:
+            doc[block] = {**doc[block], **value} if isinstance(value, dict) else value
         p = write_doc(tmp_path, doc)
         assert main(["lp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert f"\n  {message}" in capsys.readouterr().err
+        assert f"\n  {message.replace('<cfg>', str(p))}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def one_user_compare(self, tmp_path, delay):
+        """Exit codes of the five stages on ``ONE_USER`` at ``delay``, and the
+        last column of each ``compare.csv`` row by quantity."""
+        out = tmp_path / f"d{delay}"
+        p = write_doc(tmp_path, {**ONE_USER, "delay": delay, "out_dir": str(out)})
+        codes = [main([stage, "--config", str(p)]) for stage in PIPELINE]
+        lines = (out / "compare.csv").read_text().splitlines()[2:]
+        return codes, out, {line.split(",")[0]: line.split(",")[-1] for line in lines}
+
+    def test_mixing_bound_needs_kappa_times_delay_below_log3(self, tmp_path, capsys):
+        # kappa_hat is about 0.73 < log 3, but kappa_hat * D is about 1.46
+        codes, _, passed = self.one_user_compare(tmp_path, delay=2)
+        assert codes == [0] * len(PIPELINE)
+        assert "mixing bound NOT applicable" in capsys.readouterr().out
+        assert passed["kappa_hat"] == "inapplicable"
+        assert [passed[f"beta1_k{k}_s{s}"] for k in (0, 1) for s in (5, 40)] == [
+            "inapplicable"] * 4
+
+    def test_mixing_bound_applies_without_delay(self, tmp_path):
+        codes, out, passed = self.one_user_compare(tmp_path, delay=0)
+        assert codes == [0] * len(PIPELINE)
+        assert passed["kappa_hat"] == "applicable"
+        assert [passed[f"beta1_k{k}_s{s}"] for k in (0, 1) for s in (5, 40)] == [
+            "true"] * 4
+        digest = hashlib.sha256((out / "compare.csv").read_bytes()).hexdigest()
+        assert digest == "d71b8c59ba875304642d45cdf2007050f51ecd4fa71c85e15ac8fc797365fb0a"
 
     def test_compare_finds_the_limit_member_once(self, tmp_path, monkeypatch):
         argv = ["--out", str(tmp_path / "o"), "--runs", "2", "--horizon", "60"]

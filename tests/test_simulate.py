@@ -22,6 +22,7 @@ from driftlab.simulate import (
     detect_windows,
     run,
     run_ensemble,
+    run_rngs,
     select_strategy,
     selection_candidates,
     update_queues,
@@ -143,20 +144,28 @@ class TestDetectWindows:
 class TestWarmupDetect:
     def test_single_member(self):
         cov = tiny_covering([1.0])
-        assert warmup_detect(cov, np.random.default_rng(0)) == 0
+        assert not warmup_detect(cov, np.random.default_rng(0), 5).any()
 
     def test_uniform_frequencies(self):
         cov = tiny_covering(*[[0.5 - i * 0.01, 0.5 + i * 0.01] for i in range(8)])
-        rng = np.random.default_rng(99)
-        draws = np.array([warmup_detect(cov, rng) for _ in range(100_000)])
+        draws = warmup_detect(cov, np.random.default_rng(99), 100_000)
         freqs = np.bincount(draws, minlength=8) / draws.size
         assert np.all(np.abs(freqs - 0.125) < 0.01)
 
     def test_deterministic(self):
         cov = tiny_covering([0.4, 0.6], [0.6, 0.4])
-        a = [warmup_detect(cov, np.random.default_rng(5)) for _ in range(10)]
-        b = [warmup_detect(cov, np.random.default_rng(5)) for _ in range(10)]
-        assert a == b
+        a = warmup_detect(cov, np.random.default_rng(5), 10)
+        b = warmup_detect(cov, np.random.default_rng(5), 10)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("M", [1, 3, 8])
+    def test_equals_scalar_draws(self, M):
+        # the loop draws a run's picks at once; the streams pin slot-by-slot draws
+        cov = tiny_covering(*[[0.5 - i * 0.01, 0.5 + i * 0.01] for i in range(M)])
+        _, rng = run_rngs(3, 7)
+        _, scalar_rng = run_rngs(3, 7)
+        picks = warmup_detect(cov, rng, 200)
+        assert picks.tolist() == [int(scalar_rng.integers(M)) for _ in range(200)]
 
 
 class TestSelectStrategy:
