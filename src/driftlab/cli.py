@@ -230,8 +230,8 @@ def cmd_lp(cfg: ExperimentConfig) -> int:
 def _bound_context(cfg: ExperimentConfig) -> dict:
     """The bound inputs that do not depend on the window or the delay.
 
-    One LP solve on the nearest member's candidate columns
-    (``candidate_instance``) gives ``p_opt`` and ``c_hat``, the sum of its
+    One LP solve on the candidate columns of ``istar``, the nearest member
+    (``candidate_instance``), gives ``p_opt`` and ``c_hat``, the sum of its
     slack duals (``lipschitz_probe``); one schedule weights matrix feeds the
     non-stationarity series and the log-ratio prefix sums that every
     ``(w, D)`` context differences.  Its arrays are read-only.
@@ -247,8 +247,8 @@ def _bound_context(cfg: ExperimentConfig) -> dict:
         ) from exc
     weights = cfg.schedule.weights_matrix(cfg.horizon)
     drift, b_series = nonstationarity_series(cfg.schedule, cfg.space, weights)
-    ctx = dict(gap=gap, c_hat=c_hat, p_opt=p_opt, drift=drift,
-               b_series=b_series, prefix=log_ratio_prefix(weights, cfg.covering, cfg.istar))
+    ctx = dict(gap=gap, c_hat=c_hat, p_opt=p_opt, drift=drift, b_series=b_series,
+               istar=cfg.istar, prefix=log_ratio_prefix(weights, cfg.covering, cfg.istar))
     for value in ctx.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
@@ -257,9 +257,9 @@ def _bound_context(cfg: ExperimentConfig) -> dict:
 
 def _detection_series(cfg: ExperimentConfig, ctx: dict) -> tuple[np.ndarray, np.ndarray]:
     """(div, pe) under the window and the delay of ``cfg``."""
-    div = divergence_window_series(ctx["prefix"], cfg.istar, cfg.D, cfg.windows)
+    div = divergence_window_series(ctx["prefix"], ctx["istar"], cfg.D, cfg.window)
     pe = pe_sequence(
-        cfg.D, cfg.windows, cfg.covering.zeta, div, cfg.covering.size, cfg.mode,
+        cfg.D, cfg.window, cfg.covering.zeta, div, cfg.covering.size, cfg.mode,
     )
     return div, pe
 
@@ -360,7 +360,7 @@ def bound_rows(cfg: ExperimentConfig, ctx: dict) -> list[list]:
                     ))
                 pac_cl = [None if v is None else clamp01(v) for v in pac_raw]
                 try:
-                    bstar = beta_star(inputs, s_raw)[0]
+                    bstar = beta_star(inputs, s_raw)
                     gamma0 = min(1.0, 2.0 * bstar + 1e-6)
                     waiting = threshold_check(
                         t, inputs.alpha_t, inputs.u_t, cfg.eps, gamma0,
@@ -520,10 +520,10 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                      "no post-warmup slots"])
 
     if kap.value is None:
-        rows.append(["kappa_hat", "", "", "", LOG3, cfg.mode, kap.reason])
+        rows.append(["kappa_hat", "", "", "", LOG3 / max(cfg.D, 1), cfg.mode, kap.reason])
     else:
         mixing = _unless_inapplicable(theta, kap.value, cfg.D) is not None
-        rows.append(["kappa_hat", "", "", kap.value, LOG3, cfg.mode,
+        rows.append(["kappa_hat", "", "", kap.value, LOG3 / max(cfg.D, 1), cfg.mode,
                      "applicable" if mixing else "inapplicable"])
     for (k, s), est in betas.items():
         bb = _unless_inapplicable(beta_bound, s, cfg.D, kap.value, cfg.space.F,

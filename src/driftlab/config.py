@@ -4,7 +4,7 @@ Validation collects every problem (not just the first) and rejects unknown
 keys with a nearest-match suggestion.  Probabilities may be given as decimal
 strings; they parse to binary floats with round-to-nearest.  The loaded
 ``ExperimentConfig`` is the validated ``SimConfig`` the stages run, so what it
-implies (``istar``, ``windows``, ``cdf``, ``candidates``) is derived once.
+implies (``istar``, ``cdf``, ``candidates``) is derived once.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ class ConfigError(ConfigurationError):
         return type(self), (self.errors,)
 
 
-TOP_KEYS = {
-    "preset", "seed", "runs", "horizon", "V", "delay", "window", "mode",
-    "out_dir", "nu", "lyapunov_cap", "kappa", "eps",
-    "state_space", "action_space", "cost", "covering", "schedule", "sweep",
-}
 SWEEP_RULES = {  # key: (element type, rule, check)
     "V": (float, "finite and > 0", lambda v: math.isfinite(v) and v > 0),
     "w": (int, ">= 1", lambda v: v >= 1),
@@ -65,6 +60,7 @@ DEFAULTS: dict[str, Any] = {
     "lyapunov_cap": 0.0, "eps": 0.05, "kappa": None,
     "sweep": {"V": [], "w": [], "s": [], "D": []},
 }
+TOP_KEYS = {*DEFAULTS, "state_space", "action_space", "cost", "covering", "schedule"}
 
 
 @dataclass(frozen=True)

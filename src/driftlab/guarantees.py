@@ -73,59 +73,50 @@ def divergence_window_series(
     prefix: np.ndarray,
     istar: int,
     D: int,
-    windows: np.ndarray,
+    w: int,
 ) -> np.ndarray:
     """(T,) smallest wrong-member divergence magnitude per slot.
 
-    ``prefix`` is the schedule's ``log_ratio_prefix`` over the T slots and
-    ``windows`` holds each slot's window size (``SimConfig.windows``).  The
-    per-slot expected log-ratio is averaged over each slot's delayed
-    window; warmup slots (incomplete window) hold NaN since the error bound
-    there is the uniform-pick constant.
+    ``prefix`` is the schedule's (T+1, M) ``log_ratio_prefix`` over the T
+    slots.  The per-slot expected log-ratio is averaged over each slot's
+    delayed w-slot window; warmup slots (incomplete window) hold NaN since
+    the error bound there is the uniform-pick constant.
     """
-    w = np.asarray(windows, dtype=np.int64)
-    horizon = w.size
-    if prefix.ndim != 2 or prefix.shape[0] != horizon + 1:
-        raise DimensionError(f"prefix sums shaped {prefix.shape} for {horizon} slots")
+    horizon = prefix.shape[0] - 1
     out = np.full(horizon, np.nan)
     wrong = [j for j in range(prefix.shape[1]) if j != istar]
     if not wrong:
         return out
-    tau = np.flatnonzero(np.arange(horizon) > D + w - 1)  # past warmup
+    tau = np.arange(D + w, horizon)  # past warmup
     hi = tau - D + 1
-    lo = hi - w[tau]
-    avg = (prefix[hi] - prefix[lo]) / w[tau, None]
+    avg = (prefix[hi] - prefix[hi - w]) / w
     out[tau] = np.abs(avg[:, wrong]).min(axis=1)
     return out
 
 
 def pe_sequence(
     D: int,
-    windows: np.ndarray,
+    w: int,
     zeta: float,
     div_series: np.ndarray,
     M: int,
     mode: str = MODE_DEFAULT,
 ) -> np.ndarray:
-    """Raw detection-error bounds for slots 0..T-1, where ``windows`` holds
-    each slot's window size (``SimConfig.windows``) and ``div_series`` the
-    same slots' divergence floor.
+    """Raw detection-error bounds for slots 0..T-1 of a w-slot window, where
+    ``div_series`` holds the T slots' divergence floor.
 
     One array expression: a warmup slot (incomplete window) holds the
     uniform-pick error 1/M exactly; past warmup a slot holds the
-    ``s_t_delta`` cap at its own window and divergence, NaN counting as 0,
+    ``s_t_delta`` cap at the window and its divergence, NaN counting as 0,
     which may differ from a scalar ``math.exp`` evaluation by 1 ulp.
     """
     _check_mode(mode)
     if M < 1:
         raise ConfigurationError(f"M must be >= 1, got {M}")
-    w = np.asarray(windows, dtype=np.int64)
     div = np.asarray(div_series, dtype=np.float64)
-    if w.shape != div.shape:
-        raise DimensionError(f"windows shaped {w.shape}, divergence series {div.shape}")
     div = np.where(np.isnan(div), 0.0, div)
     out = np.exp(-_phi(zeta, div, w, mode) + math.log(M))
-    out[np.arange(w.size) <= D + w - 1] = 1.0 / M
+    out[: D + w] = 1.0 / M
     return out
 
 
@@ -343,17 +334,13 @@ def beta_bound(s: int, D: int, kappa: float | None, F: int, n_outcomes: int, K: 
     return th**power / math.sqrt(2.0) * math.log(mu)
 
 
-def beta_star(
-    inputs: BoundInputs,
-    s_value: float,
-) -> tuple[float, float]:
-    """(beta*_0, beta*_1): interval-scaled mixing-plus-detection slack.
+def beta_star(inputs: BoundInputs, s_value: float) -> float:
+    """beta*: interval-scaled mixing-plus-detection slack.
 
-    The lag-u_t mixing bound does not depend on k, so the cost-side and the
-    max-over-penalties value coincide.
+    The lag-u_t mixing bound does not depend on k, so the cost-side beta*_0
+    and the max-over-penalties beta*_1 coincide.
     """
     bb = beta_bound(
         inputs.u_t, inputs.D, inputs.kappa, inputs.F, inputs.n_outcomes, inputs.K
     )
-    val = (inputs.t - inputs.alpha_t) * (bb + s_value)
-    return val, val
+    return (inputs.t - inputs.alpha_t) * (bb + s_value)

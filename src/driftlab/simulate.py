@@ -56,7 +56,7 @@ RUN_BLOCK = 16
 PRUNE_CHUNK = 256
 
 # Post-warmup slots screened together by ``detect_windows``; its temporaries
-# are 3 x M x n x (SCREEN_CHUNK + the widest window) floats.
+# are 3 x M x n x (SCREEN_CHUNK + w) floats.
 SCREEN_CHUNK = 512
 
 
@@ -67,21 +67,14 @@ class SimConfig:
     covering: CoveringSet
     V: float
     D: int
-    window: int | Callable[[int], int]
+    window: int
     horizon: int
     seed: int
 
     def w_at(self, t: int) -> int:
-        """``windows[t]``; kept because ``bench/workloads.py`` calls it."""
-        return int(self.windows[t])
-
-    @cached_property
-    def windows(self) -> np.ndarray:
-        """(T,) read-only window size of each slot."""
-        T, w = self.horizon, self.window
-        windows = np.full(T, w) if isinstance(w, int) else np.array([int(w(t)) for t in range(T)])
-        windows.setflags(write=False)
-        return windows
+        """The window at slot t, ``window`` at every t; kept because
+        ``bench/workloads.py`` calls it."""
+        return self.window
 
     def validate(self) -> None:
         problems = []
@@ -91,9 +84,10 @@ class SimConfig:
             problems.append(f"delay D must be >= 0, got {self.D}")
         if self.horizon < 1:
             problems.append(f"horizon must be >= 1, got {self.horizon}")
-        elif (self.windows < 1).any():
-            t = int(np.argmax(self.windows < 1))
-            problems.append(f"window size at t={t} is {self.windows[t]} (< 1)")
+        if isinstance(self.window, bool) or not isinstance(self.window, int):
+            problems.append(f"window must be an integer, got {self.window!r}")
+        elif self.window < 1:
+            problems.append(f"window must be >= 1, got {self.window}")
         n = self.space.states.total
         if len(self.schedule.limit) != n:
             problems.append("schedule limit length does not match the state space")
@@ -132,7 +126,7 @@ class SimConfig:
         return tuple(out)
 
     def warmup_mask(self) -> np.ndarray:
-        return np.arange(self.horizon) <= self.D + self.windows - 1
+        return np.arange(self.horizon) < self.D + self.window
 
 
 @dataclass
@@ -247,11 +241,10 @@ def detect(window: Sequence[int] | np.ndarray, covering: CoveringSet) -> int | n
 
 
 def detect_windows(
-    omega: np.ndarray, slots: np.ndarray, widths: np.ndarray, D: int,
-    covering: CoveringSet,
+    omega: np.ndarray, slots: np.ndarray, w: int, D: int, covering: CoveringSet,
 ) -> np.ndarray:
     """(n, S) ``detect`` of each run's window ``omega[:, t-D-w+1 : t-D+1]``
-    for every slot t of ``slots`` with width w of ``widths``.
+    for every slot t of ``slots``.
 
     The result equals calling ``detect`` slot by slot.  Slots are taken
     ``SCREEN_CHUNK`` at a time.  Over the outcomes a chunk's windows span,
@@ -260,7 +253,7 @@ def detect_windows(
     a difference of two prefix sums, or -inf when it holds a zero-mass
     outcome.  A window is settled when the best member's lower bound is
     finite and exceeds every other member's upper bound; the others go
-    through ``detect``, one call per width per chunk.
+    through ``detect``, one call per chunk.
 
     Rounding bound.  Let x_i be the finite terms of one member and run
     (0 for a zero-mass outcome), P_k and A_k the exact sums of x_i and |x_i|
@@ -285,7 +278,6 @@ def detect_windows(
     too, strictly, so ties never matter.
     """
     slots = np.asarray(slots, dtype=np.int64)
-    widths = np.asarray(widths, dtype=np.int64)
     n, M = omega.shape[0], covering.size
     L = covering.log_matrix
     finite = np.isfinite(L)
@@ -294,9 +286,8 @@ def detect_windows(
     u = np.finfo(np.float64).eps / 2
     out = np.empty((n, slots.size), dtype=np.int64)
     for lo in range(0, slots.size, SCREEN_CHUNK):
-        w = widths[lo : lo + SCREEN_CHUNK]
         hi = slots[lo : lo + SCREEN_CHUNK] - D + 1  # window ends (exclusive)
-        start, stop = int((hi - w).min()), int(hi.max())
+        start, stop = int(hi.min()) - w, int(hi.max())
         if start < 0 or stop > omega.shape[1]:
             raise DimensionError(f"windows span slots {start}..{stop - 1} outside omega")
         prefix = np.zeros((3, M, n, stop - start + 1))
@@ -310,12 +301,10 @@ def detect_windows(
         upper = score + err
         np.put_along_axis(upper, best[None], -np.inf, axis=0)
         settled = np.isfinite(lower) & (lower > upper.max(axis=0))
-        out[:, lo : lo + w.size] = best
-        runs, cols = np.nonzero(~settled)
-        for width in np.unique(w[cols]):
-            pick = w[cols] == width
-            r, c = runs[pick], cols[pick]
-            window = omega[r[:, None], (hi[c] - width)[:, None] + np.arange(width)]
+        out[:, lo : lo + hi.size] = best
+        r, c = np.nonzero(~settled)
+        if r.size:
+            window = omega[r[:, None], (hi[c] - w)[:, None] + np.arange(w)]
             out[r, lo + c] = detect(window, covering)
     return out
 
@@ -352,7 +341,7 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
     K = space.cost.n_penalties
     T, D, V = config.horizon, config.D, config.V
     c = space.cost.c
-    warm, windows = config.warmup_mask(), config.windows
+    warm = config.warmup_mask()
 
     rngs = [run_rngs(config.seed, first + i) for i in range(n)]
     omega = np.stack([_draw_states(config.cdf, rng_states) for rng_states, _ in rngs])
@@ -361,7 +350,7 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
     for i, (_, rng_warm) in enumerate(rngs):  # a run's warmup picks, in slot order
         jstar[i, warm] = warmup_detect(covering, rng_warm, int(warm.sum()))
     post = np.flatnonzero(~warm)
-    jstar[:, post] = detect_windows(omega, post, windows[post], D, covering)
+    jstar[:, post] = detect_windows(omega, post, config.window, D, covering)
     ms = np.empty((n, T), dtype=np.int32)
     p = np.empty((n, T, K + 1))
     Q = np.zeros((n, T + 1, K))  # Q[:, t]: the queues slot t selects on
@@ -439,7 +428,7 @@ def _forked_runs(config: SimConfig, blocks: list[tuple[int, int]], workers: int)
     import multiprocessing
 
     # built once here, not in every worker after the fork
-    _ = config.candidates, config.cdf, config.windows, config.covering.log_matrix
+    _ = config.candidates, config.cdf, config.covering.log_matrix
     ctx = multiprocessing.get_context("fork")
     procs, conns = [], []
     done = False

@@ -60,7 +60,7 @@ def sensor_limit(states=None):
     return FiniteDistribution(probs)
 
 
-def divergence_series(schedule, covering, istar, D, windows):
-    """``divergence_window_series`` over the schedule's first len(windows) slots."""
-    prefix = log_ratio_prefix(schedule.weights_matrix(len(windows)), covering, istar)
-    return divergence_window_series(prefix, istar, D, windows)
+def divergence_series(schedule, covering, istar, D, w, T):
+    """``divergence_window_series`` of a w-slot window over the schedule's first T slots."""
+    prefix = log_ratio_prefix(schedule.weights_matrix(T), covering, istar)
+    return divergence_window_series(prefix, istar, D, w)

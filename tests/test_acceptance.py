@@ -132,9 +132,9 @@ def test_criterion_5_detection_bound(bench_cfg, detect_ensembles):
     ok_bound = True
     for w, ens in detect_ensembles.items():
         sim = replace(bench_cfg, window=w, horizon=600)
-        div = divergence_series(bench_cfg.schedule, bench_cfg.covering, 0, 0, sim.windows)
+        div = divergence_series(bench_cfg.schedule, bench_cfg.covering, 0, 0, w, 600)
         pe = np.minimum(
-            pe_sequence(0, sim.windows, bench_cfg.covering.zeta, div,
+            pe_sequence(0, w, bench_cfg.covering.zeta, div,
                         bench_cfg.covering.size, MODE_DEFAULT),
             1.0,
         )

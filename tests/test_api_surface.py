@@ -25,7 +25,7 @@ SRC = Path(driftlab.__file__).resolve().parent
 
 KEEP = {
     "ExperimentConfig.sim": "bench/workloads.py calls it",
-    "SimConfig.w_at": "bench/workloads.py calls it",
+    "SimConfig.w_at": "bench/workloads.py calls it; it returns window, the same at every slot",
     "MixedRadix.encode": "public API: README's encode(decode(m)) == m",
     "MixedRadix.decode": "public API: README's encode(decode(m)) == m",
 }

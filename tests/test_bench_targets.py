@@ -37,6 +37,7 @@ def test_every_workload_config_loads_and_runs_as_a_sim_config(monkeypatch):
     for name, workload in WORKLOADS.items():
         cfg = config_from_dict(workload(0, True).doc(), source=name)
         assert isinstance(cfg, SimConfig), name
+        assert isinstance(cfg.window, int), name  # w_at, the replay's window, is the loop's
         cfg.validate()
 
 

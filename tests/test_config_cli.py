@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from driftlab import cli, simulate
 from driftlab.cli import blocking_constants, fmt, main, read_traces
 from driftlab.config import TOP_KEYS, ConfigError, config_from_dict, dump_preset, read_config
 from driftlab.errors import DriftlabError
+from driftlab.guarantees import LOG3
 from driftlab.presets import sensor3_covering_and_schedule, sensor3_document, sensor3_model
 from driftlab.simulate import SimConfig, run_ensemble
 
@@ -607,10 +608,13 @@ class TestCli:
 
     def test_mixing_bound_needs_kappa_times_delay_below_log3(self, tmp_path, capsys):
         # kappa_hat is about 0.73 < log 3, but kappa_hat * D is about 1.46
-        codes, _, passed = self.one_user_compare(tmp_path, delay=2)
+        codes, out, passed = self.one_user_compare(tmp_path, delay=2)
         assert codes == [0] * len(PIPELINE)
         assert "mixing bound NOT applicable" in capsys.readouterr().out
         assert passed["kappa_hat"] == "inapplicable"
+        row = next(line.split(",") for line in (out / "compare.csv").read_text().splitlines()
+                   if line.startswith("kappa_hat,"))
+        assert row[4] == fmt(LOG3 / 2) and float(row[3]) > LOG3 / 2  # bound is log 3 / D
         assert [passed[f"beta1_k{k}_s{s}"] for k in (0, 1) for s in (5, 40)] == [
             "inapplicable"] * 4
 
@@ -731,20 +735,26 @@ def test_errors_survive_pickling(cls):
     delay=st.integers(0, 6), window=st.integers(1, 50), horizon=st.integers(1, 40),
     runs=st.integers(1, 3),
 )
+@example(delay=6, window=8, horizon=16, runs=2)  # bounds' t-grid starts at the horizon
+@example(delay=0, window=1, horizon=16, runs=1)
 @seed(2026)
 @settings(max_examples=12, deadline=None, database=None)
 def test_delay_edges_exit_cleanly(delay, window, horizon, runs):
-    """simulate, empirics and compare on delay/window/horizon edges, including
-    all-warmup runs: an exit code in {0, 2, 3, 4}, a message on stderr for any
-    non-zero exit, and never a traceback."""
+    """All five stages on delay/window/horizon edges, including all-warmup
+    runs: an exit code in {0, 2, 3, 4}, a message on stderr for any non-zero
+    exit, and never a traceback.  The empty sweep makes ``bounds`` evaluate
+    the drawn window and delay; it fails only on a horizon too short for them."""
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"preset": "sensor3", "delay": delay, "window": window,
-               "horizon": horizon, "runs": runs, "out_dir": str(Path(tmp) / "o")}
+               "horizon": horizon, "runs": runs, "out_dir": str(Path(tmp) / "o"),
+               "sweep": {"w": [], "D": []}}
         path = write_doc(Path(tmp), doc)
-        for stage in ("simulate", "empirics", "compare"):
+        for stage in PIPELINE:
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 rc = main([stage, "--config", str(path)])
             assert rc in (0, 2, 3, 4), (stage, rc)
             assert rc == 0 or err.getvalue().strip(), (stage, rc)
             assert "Traceback" not in err.getvalue(), stage
+            if stage == "bounds":
+                assert rc == 0 or "is shorter than the" in err.getvalue(), err.getvalue()

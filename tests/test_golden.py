@@ -42,11 +42,6 @@ def _piecewise(cfg: SimConfig) -> PiecewiseSchedule:
     )
 
 
-def _not_prefix_window(t: int) -> int:
-    # warmup covers t <= 5, then again 50 <= t <= 60 once the window widens
-    return 5 if t < 50 else 60
-
-
 def stream_digest(cfg: SimConfig, n_runs: int) -> str:
     h = hashlib.sha256()
 
@@ -65,9 +60,6 @@ def _cases():
         "sensor3-d2-piecewise": (
             _sensor3(D=2, window=20, schedule=_piecewise(base), seed=7), 3,
         ),
-        "callable-window": (
-            _sensor3(D=1, window=_not_prefix_window, horizon=130, seed=4), 3,
-        ),
         "block-crossing": (_sensor3(horizon=60, seed=5), BLOCK_CROSSING_RUNS),
         # 121 = 40 * 3 + 1: the loop's last D+1-slot pass holds one slot
         "short-last-pass": (_sensor3(D=2, window=20, horizon=121, seed=9), 3),
@@ -79,8 +71,6 @@ GOLDEN = {
         "a4ebc12e057b14a17ab322f82ce08ecd24b89cc077c7548c3bab1b3b5ccc440e",
     "sensor3-d2-piecewise":
         "565e3f1cd76a582644ee7344079bb63b070e74269e777d2eb3e626602c41fdd4",
-    "callable-window":
-        "1dab41bec4efc96f9eb32a7629229c9dd25313ff0aed46984c9b5df3f8623cf7",
     "block-crossing":
         "a4c56559f4b718b3c2659671cbb391e48b5bd3838d2b2d2653831a57aa8e1263",
     "short-last-pass":
@@ -103,12 +93,6 @@ def test_block_crossing_digest_on_two_workers(monkeypatch):
 
 def test_block_crossing_case_crosses_a_block():
     assert RUN_BLOCK < BLOCK_CROSSING_RUNS
-
-
-def test_callable_window_warmup_is_not_a_prefix():
-    cfg, _ = _cases()["callable-window"]
-    warm = cfg.warmup_mask()
-    assert not warm[6] and warm[50:61].all() and not warm[61]
 
 
 TRACE_GOLDEN = {  # 2 runs x 1200 slots of the sensor3 preset

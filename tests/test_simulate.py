@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import threading
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -80,8 +81,7 @@ class TestDetect:
 @st.composite
 def screen_inputs(draw):
     """A random covering with zero-mass outcomes, duplicated members and
-    near-equal likelihoods, a block of state streams, D, and an int or a
-    callable window."""
+    near-equal likelihoods, a block of state streams, D, and a window."""
     n_out = draw(st.integers(1, 6))
     weights = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 1e-3, 0.7])
     rows = []
@@ -98,8 +98,7 @@ def screen_inputs(draw):
         rows = [r / r.sum() if r.any() else np.eye(n_out)[0] for r in rows]
     T = draw(st.integers(1, 40))
     n = draw(st.integers(1, 17))
-    widths = draw(st.lists(st.integers(1, 6), min_size=T, max_size=T))
-    window = widths[0] if draw(st.booleans()) else widths.__getitem__
+    window = draw(st.integers(1, 6))
     omega = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, n_out, (n, T))
     return tiny_covering(*rows), omega, draw(st.integers(0, 3)), window, draw(st.integers(1, 9))
 
@@ -114,31 +113,31 @@ class TestDetectWindows:
                         window=window, horizon=T, seed=0)
         post = np.flatnonzero(~cfg.warmup_mask())
         with mock.patch.object(simulate, "SCREEN_CHUNK", chunk):
-            got = detect_windows(omega, post, cfg.windows[post], D, cov)
+            got = detect_windows(omega, post, window, D, cov)
         assert got.shape == (n, post.size)
         for col, t in enumerate(post):
-            window_t = omega[:, t - D - cfg.windows[t] + 1 : t - D + 1]
+            window_t = omega[:, t - D - window + 1 : t - D + 1]
             assert np.array_equal(got[:, col], detect(window_t, cov)), t
             dead = np.isinf(cov.log_matrix[:, window_t]).any(axis=-1).all(axis=0)
             assert not got[dead, col].any()  # every member -inf: member 0
 
-    def test_ties_go_through_detect_once_per_width(self):
+    def test_ties_go_through_detect_once_per_chunk(self):
         cov = tiny_covering([0.5, 0.5], [0.5, 0.5], [0.9, 0.1])
         omega = np.tile([1, 1, 0, 1, 1, 0, 1, 1], (3, 5))  # (3, 40); member 2 never wins
-        widths = np.where(np.arange(40) % 2, 4, 5)
-        slots = np.arange(6, 40)
-        with mock.patch.object(simulate, "detect", wraps=detect) as spy:
-            got = detect_windows(omega, slots, widths[slots], 1, cov)
+        slots = np.arange(6, 40)  # chunks of 20 and 14 slots
+        with mock.patch.object(simulate, "SCREEN_CHUNK", 20), \
+                mock.patch.object(simulate, "detect", wraps=detect) as spy:
+            got = detect_windows(omega, slots, 5, 1, cov)
         assert not got.any()  # members 0 and 1 tie exactly; the lowest index wins
-        assert [call.args[0].shape for call in spy.call_args_list] == [(51, 4), (51, 5)]
+        assert [call.args[0].shape for call in spy.call_args_list] == [(60, 5), (42, 5)]
         with mock.patch.object(simulate, "detect", wraps=detect) as spy:
-            detect_windows(omega, slots, widths[slots], 1, tiny_covering([0.5, 0.5], [0.9, 0.1]))
+            detect_windows(omega, slots, 5, 1, tiny_covering([0.5, 0.5], [0.9, 0.1]))
         assert spy.call_count == 0  # no ties: the screen settles every window
 
     def test_windows_outside_the_streams_are_rejected(self):
         cov = tiny_covering([0.5, 0.5])
         with pytest.raises(DimensionError):
-            detect_windows(np.zeros((1, 5), dtype=int), np.array([3]), np.array([5]), 0, cov)
+            detect_windows(np.zeros((1, 5), dtype=int), np.array([3]), 5, 0, cov)
 
 
 class TestWarmupDetect:
@@ -400,14 +399,14 @@ class TestRun:
         with pytest.raises(ConfigurationError, match="outcome 2 from slot 7"):
             run_ensemble(cfg, 2)
 
-    def test_validation_covers_every_slot_of_a_callable_window(self, sensor_cfg):
-        bad = SimConfig(
-            space=sensor_cfg.space, schedule=sensor_cfg.schedule,
-            covering=sensor_cfg.covering, V=20.0, D=0,
-            window=lambda t: 40 if t < 4096 else 0, horizon=4200, seed=0,
-        )
-        with pytest.raises(ConfigurationError, match="window size at t=4096"):
+    @pytest.mark.parametrize("window", [lambda t: 40, True, 2.5, 0],
+                             ids=["callable", "bool", "float", "zero"])
+    def test_window_must_be_one_positive_integer(self, sensor_cfg, window):
+        bad = replace(sensor_cfg, window=window)
+        with pytest.raises(ConfigurationError, match="window"):
             bad.validate()
+        with pytest.raises(ConfigurationError, match="window"):
+            run_ensemble(bad, 2)
 
     def test_delay_shifts_queue_inputs(self, sensor_cfg):
         cfg = SimConfig(
