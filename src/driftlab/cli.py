@@ -50,6 +50,8 @@ TRACE_CHUNK = 512  # rows formatted per write in _write_columns
 
 
 def fmt(x) -> str:
+    if type(x) is float:  # most cells; a float subclass takes the chain
+        return f"{x:.12g}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):

@@ -41,6 +41,9 @@ class FiniteDistribution:
             raise ConfigurationError(f"non-finite probability entry {p[~np.isfinite(p)][0]}")
         if np.any(p < 0):
             raise ConfigurationError(f"negative probability entry: min={float(p.min())}")
+        if np.any(p > 1):
+            i = int(np.argmax(p > 1))
+            raise ConfigurationError(f"probability entry {i} is {float(p[i])!r}, above 1")
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ConfigurationError(

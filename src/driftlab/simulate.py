@@ -9,7 +9,8 @@ strategies (``selection_candidates``), which always contain the full-table
 argmin.
 
 Each run is strictly sequential in t.  Runs are stepped together in blocks
-of at most ``RUN_BLOCK``, in passes of D+1 slots, through the same public
+of at most ``PASS_ROWS // (D+1)`` runs, in passes of D+1 slots, so a pass
+scores up to ``PASS_ROWS`` (run, slot) rows, through the same public
 kernels (``select_strategy``, ``update_queues``, ``warmup_detect``) that a
 single run uses.  Slot t selects on queues that hold costs only up to slot
 t-1-D, so the D+1 selections of a pass depend on nothing the pass realizes
@@ -23,8 +24,9 @@ execution order.
 
 ``run_ensemble`` runs its blocks in forked worker processes, one per CPU
 the process may use (``os.sched_getaffinity``), and receives the runs back
-in run order; it stays in-process when that is one CPU or one block, when
-``fork`` is not available, or when the process runs other threads.  Results
+in run order; it stays in-process when that is one CPU or at most
+``RUN_BLOCK`` runs, when ``fork`` is not available, or when the process
+runs other threads.  Results
 do not depend on the CPU count.
 """
 
@@ -44,19 +46,25 @@ from .distributions import CoveringSet, Schedule, inverse_cdf, nearest_member
 from .errors import ConfigurationError, DimensionError, DriftlabError
 from .strategies import StrategySpace
 
-# Runs stepped together per block.  Per-block arrays grow with it; 16 keeps
-# the ensemble's peak memory within a few percent of one run at a time.  An
-# ensemble of n runs on W workers has ceil(n / RUN_BLOCK) blocks, rounded up
-# to a multiple of W, with sizes that differ by at most 1 (20 runs on 2
-# workers: 10 + 10); worker w runs blocks w, w + W, ...
+# An ensemble of at most RUN_BLOCK runs stays in-process; a larger one gets
+# one forked worker per usable CPU, at most one per RUN_BLOCK runs.
 RUN_BLOCK = 16
+
+# (run, slot) rows a block scores per pass: a block holds at most
+# max(1, PASS_ROWS // (D+1)) runs.  Per-run block cost falls as a pass grows
+# to about this many rows and is flat past it (BENCH_20.json); a worker's
+# peak memory grows with its block.  An ensemble of n runs on W workers has
+# ceil(n / cap) blocks, rounded up to a multiple of W but at most n, with
+# sizes that differ by at most 1 (20 runs on 2 workers: 10 + 10); worker w
+# runs blocks w, w + W, ...
+PASS_ROWS = 96
 
 # Columns tested together by ``selection_candidates``; its boolean
 # temporaries are PRUNE_CHUNK x (candidates so far).
 PRUNE_CHUNK = 256
 
 # Post-warmup slots screened together by ``detect_windows``; its temporaries
-# are 3 x M x n x (SCREEN_CHUNK + w) floats.
+# are 2 x M x n x (SCREEN_CHUNK + w) floats.
 SCREEN_CHUNK = 512
 
 
@@ -248,12 +256,12 @@ def detect_windows(
 
     The result equals calling ``detect`` slot by slot.  Slots are taken
     ``SCREEN_CHUNK`` at a time.  Over the outcomes a chunk's windows span,
-    each member and run gets prefix sums of its finite log-likelihoods, of
-    their absolute values and of its zero-mass outcomes.  A window's score is
-    a difference of two prefix sums, or -inf when it holds a zero-mass
-    outcome.  A window is settled when the best member's lower bound is
-    finite and exceeds every other member's upper bound; the others go
-    through ``detect``, one call per chunk.
+    each member and run gets prefix sums of its finite log-likelihoods and of
+    its zero-mass outcomes.  A window's score is a difference of two prefix
+    sums, or -inf when it holds a zero-mass outcome.  A window is settled
+    when the best member's lower bound is finite and exceeds every other
+    member's upper bound; the others go through ``detect``, one call per
+    chunk.
 
     Rounding bound.  Let x_i be the finite terms of one member and run
     (0 for a zero-mass outcome), P_k and A_k the exact sums of x_i and |x_i|
@@ -269,8 +277,11 @@ def detect_windows(
     3. ``detect`` sums the window's w <= N terms (left to right today): off
        by at most g_{w-1} (A_hi - A_lo) <= g_{N+1} (A_hi + A_lo).
 
-    So the two scores differ by at most 2 g_{N+1} (A_hi + A_lo).  The screen
-    uses err = 4 g_{N+1} (fl(A_hi) + fl(A_lo)).  The second factor 2 covers
+    So the two scores differ by at most 2 g_{N+1} (A_hi + A_lo).  Every
+    probability is at most 1 (``FiniteDistribution`` checks it), so every
+    x_i <= 0 and A_k = -P_k; rounding to nearest is symmetric in sign, so
+    the cumsum of |x_i| would equal -fl(P_k) exactly (a zero may differ in
+    sign), and the screen takes err = -4 g_{N+1} (fl(P_hi) + fl(P_lo)).  The second factor 2 covers
     fl(A_k) >= (1 - g_N) A_k, the few roundings in err itself, and the
     rounding of score -/+ err, at most u (|score| + err) <= 2 u (A_hi + A_lo)
     against a slack err / 2 >= 2 (N + 1) u (fl(A_hi) + fl(A_lo)).  A settled
@@ -282,7 +293,7 @@ def detect_windows(
     L = covering.log_matrix
     finite = np.isfinite(L)
     x = np.where(finite, L, 0.0)
-    table = np.stack([x, np.abs(x), (~finite).astype(np.float64)])  # (3, M, |Ω|)
+    table = np.stack([x, (~finite).astype(np.float64)])  # (2, M, |Ω|)
     u = np.finfo(np.float64).eps / 2
     out = np.empty((n, slots.size), dtype=np.int64)
     for lo in range(0, slots.size, SCREEN_CHUNK):
@@ -290,12 +301,12 @@ def detect_windows(
         start, stop = int(hi.min()) - w, int(hi.max())
         if start < 0 or stop > omega.shape[1]:
             raise DimensionError(f"windows span slots {start}..{stop - 1} outside omega")
-        prefix = np.zeros((3, M, n, stop - start + 1))
+        prefix = np.zeros((2, M, n, stop - start + 1))
         np.cumsum(table[:, :, omega[:, start:stop]], axis=-1, out=prefix[..., 1:])
         top, bottom = prefix[..., hi - start], prefix[..., hi - w - start]
-        score = np.where(top[2] > bottom[2], -np.inf, top[0] - bottom[0])  # (M, n, C)
+        score = np.where(top[1] > bottom[1], -np.inf, top[0] - bottom[0])  # (M, n, C)
         g = (stop - start + 1) * u / (1 - (stop - start + 1) * u)
-        err = 4 * g * (top[1] + bottom[1])
+        err = -4 * g * (top[0] + bottom[0])
         best = score.argmax(axis=0)  # (n, C)
         lower = np.take_along_axis(score - err, best[None], axis=0)[0]
         upper = score + err
@@ -391,10 +402,10 @@ def _worker_count(n_runs: int) -> int:
     return min(cpus, -(-n_runs // RUN_BLOCK))
 
 
-def _partition(n_runs: int, workers: int) -> list[tuple[int, int]]:
-    """(first run, size) of each block, by the rule at ``RUN_BLOCK``."""
-    count = -(-n_runs // RUN_BLOCK)
-    count = -(-count // workers) * workers
+def _partition(n_runs: int, workers: int, D: int) -> list[tuple[int, int]]:
+    """(first run, size) of each block, by the rule at ``PASS_ROWS``."""
+    count = -(-n_runs // max(1, PASS_ROWS // (D + 1)))
+    count = min(-(-count // workers) * workers, n_runs)
     size, extra = divmod(n_runs, count)
     sizes = [size + (b < extra) for b in range(count)]
     return [(sum(sizes[:b]), n) for b, n in enumerate(sizes)]
@@ -518,7 +529,7 @@ def run_ensemble(
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
     config.validate()
     workers = _worker_count(n_runs)
-    blocks = _partition(n_runs, workers)
+    blocks = _partition(n_runs, workers, config.D)
     runs = (
         _forked_runs(config, blocks, workers) if workers > 1
         else _in_process_runs(config, blocks)

@@ -146,8 +146,11 @@ class StrategySpace:
                 "dense strategy enumeration too large; reduce F or |Omega|"
             )
         self.actions_of = self._build_action_matrix()
-        state_ids = np.arange(states.total)
-        self.realized = _freeze(cost.tables[:, self.actions_of, state_ids[None, :]])
+        # np.take on the flat (action, state) index returns a C-contiguous
+        # table, which _freeze keeps without a copy
+        flat = self.actions_of.astype(np.intp) * states.total + np.arange(states.total)
+        tables = cost.tables.reshape(cost.tables.shape[0], -1)
+        self.realized = _freeze(np.take(tables, flat, axis=1))
 
     def _build_action_matrix(self) -> np.ndarray:
         # digits[m, o_i + s]: the action of user i in local state s, where

@@ -180,6 +180,10 @@ class TestFmt:
         assert fmt(True) == "true"
         assert fmt(None) == ""
 
+    @pytest.mark.parametrize("v", [1 / 3, -0.0, 0.0, 1e-300, -2.5e17, float("inf")])
+    def test_python_and_numpy_floats_print_alike(self, v):
+        assert fmt(v) == fmt(np.float64(v)) == f"{v:.12g}"
+
 
 class TestCli:
     def test_smoke_single_slot(self, tmp_path):

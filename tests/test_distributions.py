@@ -50,6 +50,13 @@ class TestFiniteDistribution:
             dist(1.1, -0.1)
         assert str(info.value) == "negative probability entry: min=-0.1"
 
+    def test_entry_above_one_is_named(self):
+        # within the sum tolerance, but its log would be positive
+        with pytest.raises(ConfigurationError) as info:
+            dist(0.0, 1 + 4e-13)
+        assert str(info.value) == "probability entry 1 is 1.0000000000004, above 1"
+        assert dist(0.0, 1.0).probs[1] == 1.0
+
     def test_rejects_bad_sum(self):
         with pytest.raises(ConfigurationError):
             dist(0.5, 0.4)

@@ -23,6 +23,7 @@ from driftlab.presets import sensor3_covering_and_schedule
 from driftlab.simulate import RUN_BLOCK, SimConfig, run_ensemble
 
 BLOCK_CROSSING_RUNS = 18
+BLOCK_CROSSING_PASS_ROWS = 16  # in-process, 18 runs at D = 0 make two blocks
 
 
 def _sensor3(**kw) -> SimConfig:
@@ -79,7 +80,10 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_stream_digest(name):
+def test_stream_digest(name, monkeypatch):
+    # every case runs in-process, so block-crossing crosses a block here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(simulate, "PASS_ROWS", BLOCK_CROSSING_PASS_ROWS)
     cfg, n_runs = _cases()[name]
     assert stream_digest(cfg, n_runs) == GOLDEN[name]
 
@@ -91,8 +95,11 @@ def test_block_crossing_digest_on_two_workers(monkeypatch):
     assert stream_digest(cfg, n_runs) == GOLDEN["block-crossing"]
 
 
-def test_block_crossing_case_crosses_a_block():
-    assert RUN_BLOCK < BLOCK_CROSSING_RUNS
+def test_block_crossing_case_crosses_a_block(monkeypatch):
+    monkeypatch.setattr(simulate, "PASS_ROWS", BLOCK_CROSSING_PASS_ROWS)
+    cfg, n_runs = _cases()["block-crossing"]
+    assert RUN_BLOCK < n_runs  # two workers in test_block_crossing_digest_on_two_workers
+    assert len(simulate._partition(n_runs, 1, cfg.D)) == 2
 
 
 TRACE_GOLDEN = {  # 2 runs x 1200 slots of the sensor3 preset

@@ -134,6 +134,25 @@ class TestDetectWindows:
             detect_windows(omega, slots, 5, 1, tiny_covering([0.5, 0.5], [0.9, 0.1]))
         assert spy.call_count == 0  # no ties: the screen settles every window
 
+    @pytest.mark.parametrize("rows", [
+        ([0.0, 0.6, 0.4], [0.3, 0.0, 0.7], [0.5, 0.5, 0.0]),
+        ([0.0, 1.0, 0.0], [0.2, 0.6, 0.2], [0.0, 0.9, 0.1]),
+    ], ids=["zero-mass-outcome", "member-at-one"])
+    def test_equals_detect_on_zero_and_unit_masses(self, rows):
+        cov = tiny_covering(*rows)
+        omega = np.random.default_rng(11).choice(3, size=(6, 300), p=[0.1, 0.8, 0.1])
+        for D, w in ((0, 1), (2, 7), (1, 40)):
+            slots = np.arange(D + w - 1, 300)
+            got = detect_windows(omega, slots, w, D, cov)
+            for col, t in enumerate(slots):
+                want = detect(omega[:, t - D - w + 1 : t - D + 1], cov)
+                assert np.array_equal(got[:, col], want), (D, w, t)
+        # the screen's premise: finite log-probabilities are <= 0, so the
+        # cumsum of their magnitudes is the negated cumsum, exactly
+        x = np.where(np.isfinite(cov.log_matrix), cov.log_matrix, 0.0)[:, omega[0]]
+        assert (x <= 0).all()
+        assert np.array_equal(np.cumsum(np.abs(x), axis=-1), -np.cumsum(x, axis=-1))
+
     def test_windows_outside_the_streams_are_rejected(self):
         cov = tiny_covering([0.5, 0.5])
         with pytest.raises(DimensionError):
@@ -467,7 +486,8 @@ class TestEnsemble:
         assert np.array_equal(a.mean_p, b.mean_p)
         assert np.array_equal(a.jstar, b.jstar)
 
-    def test_runs_independent_of_order(self, sensor_cfg):
+    def test_runs_independent_of_order(self, sensor_cfg, monkeypatch):
+        monkeypatch.setattr(simulate, "PASS_ROWS", RUN_BLOCK)  # two blocks in-process too
         ens = run_ensemble(sensor_cfg, RUN_BLOCK + 2)
         # re-simulating a run alone reproduces its slice, in the first block
         # and past it
@@ -584,16 +604,22 @@ class TestWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_partition(self, n_runs, workers):
         workers = min(workers, -(-n_runs // RUN_BLOCK))
-        blocks = simulate._partition(n_runs, workers)
-        sizes = [size for _, size in blocks]
-        assert len(blocks) % workers == 0
-        assert len(blocks) >= -(-n_runs // RUN_BLOCK)
-        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
-        assert [first for first, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
-        assert sum(sizes) == n_runs
+        for D in (0, 1, 2, 5, 47, 95, 96, 200):
+            cap = max(1, simulate.PASS_ROWS // (D + 1))
+            blocks = simulate._partition(n_runs, workers, D)
+            sizes = [size for _, size in blocks]
+            # a multiple of the workers, unless that would leave a block empty
+            assert len(blocks) % workers == 0 or len(blocks) == n_runs, D
+            assert len(blocks) >= max(workers, -(-n_runs // cap)), D
+            assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1 and min(sizes) >= 1, D
+            assert [first for first, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+            assert sum(sizes) == n_runs
 
     def test_twenty_runs_split_evenly(self):
-        assert simulate._partition(20, 2) == [(0, 10), (10, 10)]
+        for D in (0, 2):
+            assert simulate._partition(20, 2, D) == [(0, 10), (10, 10)]
+        # the piecewise-delay ensemble: D = 2 caps a block at 32 runs
+        assert simulate._partition(120, 2, 2) == [(0, 30), (30, 30), (60, 30), (90, 30)]
 
     def test_worker_exception_keeps_type_and_message(self, worker_cfg, monkeypatch):
         from driftlab.config import ConfigError

@@ -189,6 +189,16 @@ class TestRVector:
         for m in rng.integers(0, space.F, size=25):
             assert np.allclose(table[:, m], r_vector(space, int(m), lam), atol=1e-14)
 
+    @pytest.mark.parametrize("counts", [((2, 2, 2), (4, 4, 4)), ((2, 3), (2, 1))])
+    def test_realized_is_a_contiguous_read_only_lookup(self, counts):
+        actions, states = ActionModel(counts[0]), ProductStateSpace(counts[1])
+        rng = np.random.default_rng(4)
+        cost = CostModel(tables=rng.random((3, actions.total, states.total)), c=np.ones(2))
+        space = StrategySpace(actions, states, cost)
+        lookup = cost.tables[:, space.actions_of, np.arange(states.total)[None, :]]
+        assert np.array_equal(space.realized, lookup)
+        assert space.realized.flags.c_contiguous and not space.realized.flags.writeable
+
 
 class TestBt:
     def test_no_penalties(self):
