@@ -46,7 +46,7 @@ from .lp import candidate_instance, gap_delta, instance_for, lipschitz_probe, so
 from .simulate import EnsembleResult, RunTrace, merge_runs, run_ensemble
 
 THETA_EPS = 1e-12
-TRACE_CHUNK = 512  # rows formatted per write in _write_columns
+TRACE_CHUNK = 512  # rows formatted per text in _numeric_lines
 
 
 def fmt(x) -> str:
@@ -63,10 +63,33 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _write_lines(path: Path, mode: str, columns: list[str], lines) -> None:
+    """The one CSV writer: a ``# mode=`` line, the column line, then the
+    texts of ``lines``, each one or more whole rows."""
+    with path.open("w") as f:
+        f.write(f"# mode={mode}\n{','.join(columns)}\n")
+        f.writelines(lines)
+
+
 def write_csv(path: Path, mode: str, columns: list[str], rows) -> None:
     """``rows``, each as long as ``columns``, formatted cell by cell with ``fmt``."""
-    text = [[fmt(v) for v in row] for row in rows]
-    _write_columns(path, mode, columns, len(text), lambda lo, hi: zip(*text[lo:hi]))
+    _write_lines(path, mode, columns, [",".join(map(fmt, row)) + "\n" for row in rows])
+
+
+def _numeric_lines(n_ids: int, arrays):
+    """Rows ``t, *arrays`` of (T,) or (T, k) arrays, ``TRACE_CHUNK`` rows per
+    text, through one ``%`` row template: ``%d`` for ``t`` and the next
+    ``n_ids`` columns, ``%.12g`` (the bytes of ``fmt``) for the rest.
+
+    Each row is formatted alone and a chunk's rows are joined once.  One
+    template repeated over a whole chunk was a little faster, but it raised
+    the peak RSS of the sensor3 pipeline (20 x 5000) by about 5 MiB."""
+    T = len(arrays[0])
+    for lo in range(0, T, TRACE_CHUNK):
+        hi = min(lo + TRACE_CHUNK, T)
+        block = np.column_stack([np.arange(lo, hi), *(a[lo:hi] for a in arrays)])
+        row = ",".join(["%d"] * (1 + n_ids) + ["%.12g"] * (block.shape[1] - 1 - n_ids)) + "\n"
+        yield "".join([row % tuple(r) for r in block.tolist()])
 
 
 def blocking_constants(t: int) -> tuple[int, int, int]:
@@ -89,50 +112,10 @@ def trace_path(out: Path, run_index: int) -> Path:
     return out / f"trace_run{run_index:04d}.csv"
 
 
-def _g12(values: list) -> list[str]:
-    return [f"{v:.12g}" for v in values]
-
-
-def _g12_distinct(col: np.ndarray) -> list[str]:
-    """``_g12`` of a float column, formatting each distinct value once.
-
-    Values are keyed by their bits, so 0.0 and -0.0 stay apart ("0", "-0").
-    """
-    bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-    text = _g12(bits.view(np.float64).tolist())
-    return [text[i] for i in inverse.tolist()]
-
-
-def _write_columns(path: Path, mode: str, columns: list[str], n_rows: int, chunk) -> None:
-    """The one CSV writer: a ``# mode=`` line, the column line, then
-    ``n_rows`` rows formatted a column and a chunk at a time:
-    ``chunk(lo, hi)`` returns the text columns of rows lo..hi-1."""
-    with path.open("w") as f:
-        f.write(f"# mode={mode}\n{','.join(columns)}\n")
-        for lo in range(0, n_rows, TRACE_CHUNK):
-            cols = chunk(lo, min(lo + TRACE_CHUNK, n_rows))
-            f.write("\n".join(map(",".join, zip(*cols))) + "\n")
-
-
 def write_trace(path: Path, trace, mode: str) -> None:
-    """One run's trace, formatted a column and a chunk at a time.
-
-    The bytes equal a row-by-row ``fmt``: ints print with ``str``, floats
-    with ``.12g``.
-    """
-    K = trace.q.shape[1]
-    avg = trace.avg
-
-    def chunk(lo, hi):
-        return (
-            [map(str, range(lo, hi))]
-            + [map(str, a[lo:hi].tolist()) for a in (trace.omega, trace.jstar, trace.m)]
-            + [_g12_distinct(trace.p[lo:hi, k]) for k in range(K + 1)]
-            + [_g12(trace.q[lo:hi, k].tolist()) for k in range(K)]
-            + [_g12(avg[lo:hi, k].tolist()) for k in range(K + 1)]
-        )
-
-    _write_columns(path, mode, trace_columns(K), trace.horizon, chunk)
+    """One run's trace (``trace_columns``); ids print as integers."""
+    _write_lines(path, mode, trace_columns(trace.q.shape[1]), _numeric_lines(
+        3, [trace.omega, trace.jstar, trace.m, trace.p, trace.q, trace.avg]))
 
 
 def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
@@ -151,6 +134,7 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
             )
     K = cfg.space.cost.n_penalties
     T = cfg.horizon
+    width = len(trace_columns(K))
     id_ranges = (("omega", cfg.space.states.total), ("jstar", cfg.covering.size),
                  ("m", cfg.space.F))
 
@@ -164,10 +148,8 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
                 raise DriftlabError(
                     f"{path}: {data.shape[0]} slots, config horizon is {T}"
                 )
-            if data.shape[1] != 6 + 3 * K:
-                raise DriftlabError(
-                    f"{path}: {data.shape[1]} columns, expected {6 + 3 * K}"
-                )
+            if data.shape[1] != width:
+                raise DriftlabError(f"{path}: {data.shape[1]} columns, expected {width}")
             if not np.array_equal(data[:, 0], np.arange(T)):
                 raise DriftlabError(f"{path}: column t is not 0..{T - 1}")
             for j, (name, size) in enumerate(id_ranges, start=1):
@@ -195,12 +177,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         write_trace(trace_path(out, i), trace, cfg.mode)
 
     ens = run_ensemble(cfg, cfg.runs, on_trace=writer, store_runs=False)
-
-    def chunk(lo, hi):
-        return [map(str, range(lo, hi))] + [_g12(col) for col in ens.mean_p[lo:hi].T.tolist()]
-
     columns = ["t"] + [f"mean_p{k}" for k in range(K + 1)]
-    _write_columns(out / "ensemble.csv", cfg.mode, columns, cfg.horizon, chunk)
+    _write_lines(out / "ensemble.csv", cfg.mode, columns, _numeric_lines(0, [ens.mean_p]))
     print(f"wrote {cfg.runs} traces and ensemble.csv to {out}")
     return 0
 
@@ -399,6 +377,22 @@ def _beta_alpha(warmup: np.ndarray, max_s: int) -> int:
     return max(warm_end, int(0.75 * (warmup.size - 1 - max_s)))
 
 
+def _estimates(cfg: ExperimentConfig, ens: EnsembleResult):
+    """kappa_hat and the beta1 estimates, (k, s) -> ``Beta1Estimate`` or
+    None on an estimation error, that ``empirics`` and ``compare`` report."""
+    K = cfg.space.cost.n_penalties
+    kap = estimate_kappa(ens)
+    alpha = _beta_alpha(ens.warmup, max(cfg.s_sweep))
+    betas = {}
+    for k in (0, 1) if K >= 1 else (0,):
+        for s in cfg.s_sweep:
+            try:
+                betas[k, s] = estimate_beta1(ens, k=k, s=s, alpha=alpha)
+            except EstimationError:
+                betas[k, s] = None
+    return kap, betas
+
+
 def _empirics_rows(cfg: ExperimentConfig, ens: EnsembleResult):
     cost = cfg.space.cost
     K = cost.n_penalties
@@ -418,43 +412,32 @@ def _empirics_rows(cfg: ExperimentConfig, ens: EnsembleResult):
             [f"constraint_excess_p{k}", k, "", gap.excess[k - 1],
              gap.excess_ci[k - 1], ens.run_count]
         )
-    kap = estimate_kappa(ens)
+    kap, betas = _estimates(cfg, ens)
     rows.append(
         ["kappa_hat", "", "", kap.value, "", kap.pooled_slots]
         if kap.value is not None
         else ["kappa_hat", "", "", "", kap.reason, kap.pooled_slots]
     )
-    alpha = _beta_alpha(ens.warmup, max(cfg.s_sweep))
-    betas = {}  # (k, s) -> Beta1Estimate, or None on an estimation error
-    for k in (0, 1) if K >= 1 else (0,):
-        for s in cfg.s_sweep:
-            try:
-                est = betas[k, s] = estimate_beta1(ens, k=k, s=s, alpha=alpha)
-                surv = min(a.surviving for a in est.anchors)
-                rows.append([f"beta1_k{k}", k, s, est.value, est.ci_half, surv])
-            except EstimationError:
-                betas[k, s] = None
-                rows.append([f"beta1_k{k}", k, s, "", "estimation-error", 0])
-    return rows, kap, gap, lp_value, betas
+    for (k, s), est in betas.items():
+        rows.append(
+            [f"beta1_k{k}", k, s, "", "estimation-error", 0] if est is None
+            else [f"beta1_k{k}", k, s, est.value, est.ci_half,
+                  min(a.surviving for a in est.anchors)]
+        )
+    return rows, kap, gap, lp_value
 
 
 def cmd_empirics(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     ens = read_traces(cfg)
-    rows, kap, gap, lp_value, _ = _empirics_rows(cfg, ens)
+    rows, kap, gap, lp_value = _empirics_rows(cfg, ens)
     write_csv(
         out / "empirics.csv", cfg.mode,
         ["quantity", "k", "s", "value", "ci_or_note", "n"], rows,
     )
     rates = error_rate(ens)
-    ci = rates.ci_half()
-
-    def chunk(lo, hi):
-        return [map(str, range(lo, hi)), _g12(rates.per_slot[lo:hi].tolist()),
-                _g12(ci[lo:hi].tolist())]
-
-    _write_columns(out / "error_rates.csv", cfg.mode, ["t", "rate", "ci_half"],
-                   rates.per_slot.size, chunk)
+    _write_lines(out / "error_rates.csv", cfg.mode, ["t", "rate", "ci_half"],
+                 _numeric_lines(0, [rates.per_slot, rates.ci_half()]))
     print(f"runs: {ens.run_count}, horizon: {cfg.horizon}")
     print(f"lp optimum (cost): {fmt(lp_value)}")
     print(f"final mean cost:   {fmt(gap.mean_final[0])} (gap {fmt(gap.cost_gap)})")
@@ -486,13 +469,14 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     bounded = cfg.V > 0  # the bound stack divides by V
     if bounded:
         inputs, pqg = _inputs_at(cfg, ctx, pe, t, None)
-    _, kap, gap, _, betas = _empirics_rows(cfg, ens)
+    kap, betas = _estimates(cfg, ens)
+    mean_final = ens.final_avg.mean(axis=0)  # as gap_report takes it
 
     rows = []
     for k in range(K + 1):
         name = f"penalty_avg_p{k}" if k else "cost_avg"
         if not bounded:
-            rows.append([name, k, "", gap.mean_final[k], "", cfg.mode, "inapplicable"])
+            rows.append([name, k, "", mean_final[k], "", cfg.mode, "inapplicable"])
             continue
         level = (
             ctx["p_opt"] + (ctx["c_hat"] + 1) * ctx["gap"] + pqg.psi if k == 0
@@ -500,8 +484,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
         )
         alpha_term = inputs.alpha_t * float(inputs.dp_max[k]) / (t - inputs.alpha_t)
         b = level + alpha_term + cfg.eps
-        rows.append([name, k, "", gap.mean_final[k], b, cfg.mode,
-                     bool(gap.mean_final[k] <= b)])
+        rows.append([name, k, "", mean_final[k], b, cfg.mode,
+                     bool(mean_final[k] <= b)])
 
     # queue growth invariant over the loaded traces
     worst = 0.0

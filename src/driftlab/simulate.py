@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .distributions import CoveringSet, Schedule, inverse_cdf, nearest_member
-from .errors import ConfigurationError, DimensionError, DriftlabError
+from .errors import ConfigurationError, DimensionError, DriftlabError, EstimationError
 from .strategies import StrategySpace
 
 # An ensemble of at most RUN_BLOCK runs stays in-process; a larger one gets
@@ -68,6 +68,15 @@ PRUNE_CHUNK = 256
 SCREEN_CHUNK = 512
 
 
+def _int_problem(name: str, value, least: int) -> str | None:
+    """Why ``value`` is not an integer >= ``least`` (a bool is not one), or None."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        return f"{name} must be an integer, got {value!r}"
+    if value < least:
+        return f"{name} must be >= {least}, got {value}"
+    return None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     space: StrategySpace
@@ -88,14 +97,10 @@ class SimConfig:
         problems = []
         if not math.isfinite(self.V) or self.V < 0:
             problems.append(f"V must be finite and >= 0, got {self.V}")
-        if self.D < 0:
-            problems.append(f"delay D must be >= 0, got {self.D}")
-        if self.horizon < 1:
-            problems.append(f"horizon must be >= 1, got {self.horizon}")
-        if isinstance(self.window, bool) or not isinstance(self.window, int):
-            problems.append(f"window must be an integer, got {self.window!r}")
-        elif self.window < 1:
-            problems.append(f"window must be >= 1, got {self.window}")
+        for name, least in (("D", 0), ("horizon", 1), ("window", 1), ("seed", 0)):
+            problem = _int_problem(name, getattr(self, name), least)
+            if problem:
+                problems.append(problem)
         n = self.space.states.total
         if len(self.schedule.limit) != n:
             problems.append("schedule limit length does not match the state space")
@@ -171,7 +176,7 @@ class EnsembleResult:
     def errors(self) -> np.ndarray:
         """(n, T) bool: slots whose used member differs from the limit's."""
         if self.jstar is None:
-            raise ValueError("per-run arrays were not retained")
+            raise EstimationError("ensemble was run without per-run arrays")
         return self.jstar != self.istar
 
 
@@ -266,16 +271,19 @@ def detect_windows(
     Rounding bound.  Let x_i be the finite terms of one member and run
     (0 for a zero-mass outcome), P_k and A_k the exact sums of x_i and |x_i|
     over the first k outcomes of the chunk, N the chunk's outcome count,
-    u = 2^-53 and g_m = m u / (1 - m u).  Recursive summation of m terms, in
-    any order, is off by at most g_{m-1} times the sum of their magnitudes:
+    u = 2^-53 and g_m = m u / (1 - m u).  In any summation tree over m terms
+    (left to right, pairwise or unrolled) each term passes through at most
+    m - 1 roundings, so the sum is off by at most g_{m-1} times the sum of
+    their magnitudes:
 
     1. ``cumsum``: |fl(P_k) - P_k| <= g_N A_k.
     2. A window (lo, hi] has exact sum S = P_hi - P_lo, and the screen's
        fl(fl(P_hi) - fl(P_lo)) is off by at most
        (1 + u) g_N (A_hi + A_lo) + u |S| <= g_{N+1} (A_hi + A_lo),
        since |S| <= A_hi - A_lo.
-    3. ``detect`` sums the window's w <= N terms (left to right today): off
-       by at most g_{w-1} (A_hi - A_lo) <= g_{N+1} (A_hi + A_lo).
+    3. ``detect`` sums the window's w <= N terms with numpy's last-axis
+       ``sum``, which is pairwise and unrolled, not left to right: off by at
+       most g_{w-1} (A_hi - A_lo) <= g_{N+1} (A_hi + A_lo).
 
     So the two scores differ by at most 2 g_{N+1} (A_hi + A_lo).  Every
     probability is at most 1 (``FiniteDistribution`` checks it), so every
@@ -388,6 +396,9 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
 
 def run(config: SimConfig, run_index: int = 0) -> RunTrace:
     """Execute one seeded run and return its full trace."""
+    problem = _int_problem("run_index", run_index, 0)
+    if problem:
+        raise ConfigurationError(problem)
     config.validate()
     return _run_block(config, run_index, 1)[0]
 
@@ -525,8 +536,9 @@ def run_ensemble(
     Blocks run in forked workers when there is more than one usable CPU (see
     the module docstring); ``on_trace`` and the merge run in this process.
     """
-    if n_runs < 1:
-        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
+    problem = _int_problem("n_runs", n_runs, 1)
+    if problem:
+        raise ConfigurationError(problem)
     config.validate()
     workers = _worker_count(n_runs)
     blocks = _partition(n_runs, workers, config.D)

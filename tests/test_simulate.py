@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from _helpers import point_mass, sensor3_space, sensor_limit, stationary, uniform
 from driftlab import simulate
 from driftlab import ConfigurationError, CoveringSet, FiniteDistribution
-from driftlab.errors import DimensionError, DriftlabError
+from driftlab.errors import DimensionError, DriftlabError, EstimationError
 from driftlab.distributions import PiecewiseSchedule, ProductStateSpace
 from driftlab.presets import sensor3_covering_and_schedule
 from driftlab.simulate import (
@@ -427,6 +427,20 @@ class TestRun:
         with pytest.raises(ConfigurationError, match="window"):
             run_ensemble(bad, 2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("D", 1.5), ("D", True), ("horizon", 50.0), ("seed", -1), ("seed", 0.0),
+        ("n_runs", 2.5), ("n_runs", "3"), ("n_runs", True), ("n_runs", 0),
+        ("run_index", 1.0), ("run_index", -1), ("run_index", False),
+    ])
+    def test_integer_fields_fail_closed(self, sensor_cfg, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be"):
+            if field == "n_runs":
+                run_ensemble(sensor_cfg, value)
+            elif field == "run_index":
+                run(sensor_cfg, value)
+            else:
+                run_ensemble(replace(sensor_cfg, **{field: value}), 2)
+
     def test_delay_shifts_queue_inputs(self, sensor_cfg):
         cfg = SimConfig(
             space=sensor_cfg.space, schedule=sensor_cfg.schedule,
@@ -506,7 +520,7 @@ class TestEnsemble:
         )
         assert seen == [(0, 60), (1, 60), (2, 60)]
         assert ens.p is None
-        with pytest.raises(ValueError):
+        with pytest.raises(EstimationError, match="without per-run arrays"):
             _ = ens.errors
 
     def test_warmup_uniform_pick_rate(self, sensor_cfg):

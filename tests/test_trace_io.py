@@ -1,22 +1,26 @@
-"""Trace CSV writer and reader against straightforward references.
+"""CSV writers and the trace reader against straightforward references.
 
-``write_trace`` formats a column and a chunk of slots at a time; its bytes
-must equal a row-by-row ``fmt`` write.  ``read_traces`` arrays must equal a
-plain ``np.loadtxt`` parse.
+``write_trace``, ``ensemble.csv`` and ``error_rates.csv`` format
+``TRACE_CHUNK`` rows at a time through one ``%`` row template; their bytes
+must equal a row-by-row ``fmt`` write, as must ``write_csv``'s.
+``read_traces`` arrays must equal a plain ``np.loadtxt`` parse.
 """
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from driftlab.cli import (
-    fmt, main, read_traces, trace_columns, trace_path, write_csv, write_trace,
+    TRACE_CHUNK, _numeric_lines, _write_lines, fmt, main, read_traces, trace_columns,
+    trace_path, write_csv, write_trace,
 )
 from driftlab.config import config_from_dict, read_config
-from driftlab.simulate import RunTrace
+from driftlab.estimators import error_rate
+from driftlab.simulate import RunTrace, run_ensemble
 
 
 def reference_csv(path, mode, columns, rows):
@@ -39,13 +43,15 @@ def reference_write(path, trace, mode):
     reference_csv(path, mode, trace_columns(K), rows)
 
 
-P_VALUES = [0.0, -0.0, 1.0, -1 / 3, 0.1 + 0.2, 5e-324, -1.0]
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0]
+P_VALUES = [0.0, 1.0, -1 / 3, 0.1 + 0.2, 5e-324, -1.0] + SPECIAL
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats())
 
 
 @st.composite
 def traces(draw):
-    T = draw(st.integers(1, 1100))  # crosses the 512-slot chunk edges
+    T = draw(st.integers(1, 2 * TRACE_CHUNK + 76))  # crosses the chunk edges
     K = draw(st.integers(0, 3))
     ints = st.integers(0, 4095)
     return RunTrace(
@@ -53,16 +59,41 @@ def traces(draw):
         jstar=draw(arrays(np.int64, T, elements=ints)),
         m=draw(arrays(np.int64, T, elements=ints)),
         p=draw(arrays(np.float64, (T, K + 1), elements=st.sampled_from(P_VALUES))),
-        q=draw(arrays(np.float64, (T, K), elements=FINITE)),
+        q=draw(arrays(np.float64, (T, K), elements=FLOATS)),
     )
 
 
 @given(traces(), st.sampled_from(["default", "literal"]))
 @settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore:invalid value")  # inf - inf in the running averages
 def test_write_trace_equals_row_by_row_fmt(tmp_path_factory, trace, mode):
     d = tmp_path_factory.mktemp("trace")
     write_trace(d / "fast.csv", trace, mode)
     reference_write(d / "ref.csv", trace, mode)
+    assert (d / "fast.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
+@st.composite
+def tables(draw):
+    """The ``ensemble.csv`` layout (one (T, K+1) array) or the
+    ``error_rates.csv`` layout (two (T,) arrays)."""
+    T = draw(st.integers(1, 2 * TRACE_CHUNK + 76))
+    if draw(st.booleans()):
+        K = draw(st.integers(0, 3))
+        return ["t"] + [f"mean_p{k}" for k in range(K + 1)], [
+            draw(arrays(np.float64, (T, K + 1), elements=FLOATS))]
+    return ["t", "rate", "ci_half"], [
+        draw(arrays(np.float64, T, elements=FLOATS)) for _ in range(2)]
+
+
+@given(tables())
+@settings(max_examples=30, deadline=None)
+def test_numeric_tables_equal_row_by_row_fmt(tmp_path_factory, case):
+    columns, arrays_ = case
+    d = tmp_path_factory.mktemp("table")
+    _write_lines(d / "fast.csv", "default", columns, _numeric_lines(0, arrays_))
+    flat = np.column_stack(arrays_).tolist()
+    reference_csv(d / "ref.csv", "default", columns, ([t] + row for t, row in enumerate(flat)))
     assert (d / "fast.csv").read_bytes() == (d / "ref.csv").read_bytes()
 
 
@@ -98,6 +129,29 @@ def test_negative_zero_keeps_its_sign(tmp_path):
     write_trace(tmp_path / "t.csv", trace, "default")
     rows = (tmp_path / "t.csv").read_text().splitlines()[2:]
     assert [r.split(",")[4] for r in rows] == ["0", "-0", "0", "-0"]
+
+
+def test_ensemble_and_error_rate_files_equal_row_by_row_fmt(tmp_path):
+    """The files ``simulate`` and ``empirics`` write, against the same values
+    computed in-process, over a horizon that crosses two chunk edges."""
+    out = tmp_path / "o"
+    doc = {"preset": "sensor3", "runs": 2, "horizon": 2 * TRACE_CHUNK + 6, "seed": 3,
+           "out_dir": str(out)}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert main(["empirics", "--config", str(path)]) == 0
+    cfg = config_from_dict(read_config(path), source=str(path))
+    K = cfg.space.cost.n_penalties
+    mean_p = run_ensemble(cfg, cfg.runs).mean_p
+    columns = ["t"] + [f"mean_p{k}" for k in range(K + 1)]
+    reference_csv(tmp_path / "ensemble.csv", cfg.mode, columns,
+                  ([t] + row for t, row in enumerate(mean_p.tolist())))
+    rates = error_rate(read_traces(cfg))
+    reference_csv(tmp_path / "error_rates.csv", cfg.mode, ["t", "rate", "ci_half"],
+                  zip(range(cfg.horizon), rates.per_slot.tolist(), rates.ci_half().tolist()))
+    for name in ("ensemble.csv", "error_rates.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_read_traces_equals_full_parse(tmp_path):
