@@ -587,6 +587,9 @@ def main(argv=None) -> int:
     except DriftlabError as exc:
         print(str(exc), file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

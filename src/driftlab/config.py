@@ -29,7 +29,7 @@ from .distributions import (
 from .errors import ConfigurationError
 from .guarantees import MODE_DEFAULT, MODE_LITERAL
 from .presets import sensor3_document
-from .simulate import SimConfig
+from .simulate import SimConfig, number_problem
 from .strategies import ActionModel, CostModel, StrategySpace
 
 
@@ -43,11 +43,16 @@ class ConfigError(ConfigurationError):
         return type(self), (self.errors,)
 
 
-SWEEP_RULES = {  # key: (element type, rule, check)
-    "V": (float, "finite and > 0", lambda v: math.isfinite(v) and v > 0),
-    "w": (int, ">= 1", lambda v: v >= 1),
-    "s": (int, ">= 1", lambda v: v >= 1),
-    "D": (int, ">= 0", lambda v: v >= 0),
+# key: (kind, least, strict): a finite number of ``kind`` that is >= least,
+# or > least when strict (``simulate.number_problem``); kappa may also be null
+NUMBER_RULES = {
+    "seed": (int, 0, False), "runs": (int, 1, False), "horizon": (int, 1, False),
+    "V": (float, 0.0, False), "delay": (int, 0, False), "window": (int, 1, False),
+    "nu": (float, 0, True), "lyapunov_cap": (float, 0.0, False), "eps": (float, 0, True),
+    "kappa": (float, 0.0, False),
+}
+SWEEP_RULES = {  # the same rule for every entry of the list
+    "V": (float, 0, True), "w": (int, 1, False), "s": (int, 1, False), "D": (int, 0, False),
 }
 COST_KEYS = {"tables", "constraints"}
 COVERING_KEYS = {"members", "delta", "alpha_delta", "beta_delta"}
@@ -99,23 +104,32 @@ def _unknown(keys, allowed, path, errors):
 
 
 def _as_int(value) -> int:
-    """``int(value)``, refusing True (``int`` gives 1) and 2.5 (``int`` gives 2)."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """``int(value)``, refusing True and "1" (``int`` gives 1) and 2.5 (``int`` gives 2)."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
-def _number(doc, key, errors, path="", required=False, kind=float):
+def _number(doc, key, errors, path="", rule=(float, -math.inf, False), required=False):
+    """``doc[key]`` as a number that keeps ``rule`` (see ``NUMBER_RULES``), or
+    None after an error that names it."""
     label = f"{path}[{key}]" if isinstance(key, int) else f"{path}{key}"
     if key not in doc:
         if required:
             errors.append(f"{label}: missing")
         return None
+    kind, least, strict = rule
     try:
-        return (_as_int if kind is int else kind)(doc[key])
+        if isinstance(doc[key], (bool, str)):  # int() and float() take both
+            raise TypeError
+        value = (_as_int if kind is int else float)(doc[key])
     except (TypeError, ValueError, OverflowError):
         errors.append(f"{label}: expected a {kind.__name__}, got {doc[key]!r}")
         return None
+    problem = number_problem(value, kind, least, strict)
+    if problem:
+        errors.append(f"{label}: {problem}")
+    return None if problem else value
 
 
 def _dist(raw, label, errors) -> FiniteDistribution | None:
@@ -151,12 +165,6 @@ def _build_covering(block, errors) -> CoveringSet | None:
     alpha = _number(block, "alpha_delta", errors, "covering.", required=True)
     beta = _number(block, "beta_delta", errors, "covering.", required=True)
     if None in (delta, alpha, beta):
-        return None
-    bad = [f"covering.{name}: must be finite, got {value}"
-           for name, value in (("delta", delta), ("alpha_delta", alpha),
-                               ("beta_delta", beta)) if not math.isfinite(value)]
-    if bad:
-        errors += bad
         return None
     try:
         return CoveringSet(
@@ -270,55 +278,32 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
     out_dir = doc["out_dir"]
     if not isinstance(out_dir, str):
         errors.append(f"out_dir: expected a string, got {out_dir!r}")
-    seed = _number(doc, "seed", errors, kind=int)
-    runs = _number(doc, "runs", errors, kind=int)
-    horizon = _number(doc, "horizon", errors, kind=int)
-    V = _number(doc, "V", errors)
-    delay = _number(doc, "delay", errors, kind=int)
-    window = _number(doc, "window", errors, kind=int)
-    nu = _number(doc, "nu", errors)
-    cap = _number(doc, "lyapunov_cap", errors)
-    eps = _number(doc, "eps", errors)
-    kappa = None if doc["kappa"] is None else _number(doc, "kappa", errors)
+    numbers = {key: None if key == "kappa" and doc[key] is None
+               else _number(doc, key, errors, rule=rule) for key, rule in NUMBER_RULES.items()}
+    numbers["D"] = numbers.pop("delay")
     sweep = doc["sweep"]
     if not _is_object(sweep, "sweep", errors):
         sweep = {}
     _unknown(sweep, SWEEP_RULES, "sweep", errors)
     sweeps = {}
-    for key, (kind, rule, ok) in SWEEP_RULES.items():
+    for key, rule in SWEEP_RULES.items():
         raw = sweep.get(key, [])
         if not isinstance(raw, (list, tuple)):
             errors.append(f"sweep.{key}: expected a list, got {raw!r}")
             raw = []
         items = dict(enumerate(raw))
         sweeps[f"{key.lower()}_sweep"] = vals = tuple(
-            _number(items, i, errors, f"sweep.{key}", kind=kind) for i in items
+            _number(items, i, errors, f"sweep.{key}", rule=rule) for i in items
         )
-        errors += [f"sweep.{key}[{i}]: must be {rule}, got {v}"
-                   for i, v in enumerate(vals) if v is not None and not ok(v)]
         errors += [f"sweep.{key}[{i}]: repeats {v}"
                    for i, v in enumerate(vals) if v is not None and v in vals[:i]]
     sweeps["s_sweep"] = sweeps["s_sweep"] or (5, 40)
-    errors += [f"{name}: must be finite, got {value}" for name, value in (
-        ("V", V), ("nu", nu), ("lyapunov_cap", cap), ("eps", eps), ("kappa", kappa),
-    ) if value is not None and not math.isfinite(value)]
-    for name, value, low in (
-        ("seed", seed, 0), ("runs", runs, 1), ("horizon", horizon, 1),
-        ("window", window, 1), ("delay", delay, 0), ("V", V, 0.0),
-        ("lyapunov_cap", cap, 0.0), ("kappa", kappa, 0.0),
-    ):
-        if value is not None and value < low:
-            errors.append(f"{name}: must be >= {low}, got {value}")
-    errors += [f"{name}: must be > 0, got {value}" for name, value in (
-        ("nu", nu), ("eps", eps)) if value is not None and value <= 0]
 
     if errors:
         raise ConfigError(errors)
     cfg = ExperimentConfig(
-        space=space, covering=covering, schedule=schedule,
-        V=V, D=delay, window=window, horizon=horizon, runs=runs,
-        seed=seed, mode=mode, out_dir=out_dir,
-        nu=nu, lyapunov_cap=cap, eps=eps, kappa=kappa, **sweeps,
+        space=space, covering=covering, schedule=schedule, mode=mode, out_dir=out_dir,
+        **numbers, **sweeps,
     )
     try:
         cfg.validate()

@@ -62,9 +62,7 @@ def _tv_and_ci(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     n = x.size
     xi, nx = _cells(x)
     yi, ny = _cells(y)
-    joint = np.zeros((nx, ny))
-    np.add.at(joint, (xi, yi), 1.0)
-    joint /= n
+    joint = np.bincount(xi * ny + yi, minlength=nx * ny).reshape(nx, ny) / n
     prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
     tv = 0.5 * float(np.abs(joint - prod).sum())
     mass = 0.5 * (joint + prod)
@@ -72,14 +70,14 @@ def _tv_and_ci(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return tv, ci
 
 
-def default_anchor_grid(alpha: int, last: int, count: int = 20) -> np.ndarray:
+def default_anchor_grid(alpha: int, last: int) -> np.ndarray:
     """Logarithmically spaced anchor slots in [alpha, last]."""
     if last < alpha:
         raise EstimationError(
             f"no anchor slots: horizon leaves nothing in [{alpha}, {last}]"
         )
     lo = max(alpha, 1)
-    grid = np.unique(np.geomspace(lo, last, num=count).astype(np.int64))
+    grid = np.unique(np.geomspace(lo, last, num=20).astype(np.int64))
     grid = grid[(grid >= alpha) & (grid <= last)]
     if alpha not in grid:
         grid = np.unique(np.concatenate([[alpha], grid]))
@@ -92,7 +90,6 @@ def estimate_beta1(
     s: int,
     alpha: int,
     anchors: np.ndarray | None = None,
-    min_runs: int = BETA1_MIN_RUNS,
 ) -> Beta1Estimate:
     """Empirical mixing coefficient of p_k at lag s, conditioned on
     error-free detection in [alpha, anchor]."""
@@ -112,14 +109,14 @@ def estimate_beta1(
             raise EstimationError(f"anchor {t} outside [{alpha}, {T - 1 - s}]")
         surv = ~errors[:, alpha : t + 1].any(axis=1)
         n_surv = int(surv.sum())
-        if n_surv < min_runs:
+        if n_surv < BETA1_MIN_RUNS:
             skipped.append((t, n_surv))
             continue
         tv, ci = _tv_and_ci(ensemble.p[surv, t, k], ensemble.p[surv, t + s, k])
         kept.append(AnchorEstimate(t=t, tv=tv, ci_half=ci, surviving=n_surv))
     if not kept:
         raise EstimationError(
-            f"no anchor slot kept >= {min_runs} error-free runs "
+            f"no anchor slot kept >= {BETA1_MIN_RUNS} error-free runs "
             f"(skipped: {skipped})"
         )
     best = max(kept, key=lambda a: a.tv)
@@ -139,15 +136,12 @@ class KappaEstimate:
     excluded_cells: int
 
 
-def estimate_kappa(
-    ensemble: EnsembleResult,
-    min_cell: int = KAPPA_MIN_CELL,
-) -> KappaEstimate:
+def estimate_kappa(ensemble: EnsembleResult) -> KappaEstimate:
     """Channel-constant estimate: the largest log-ratio, over realized cost
     vectors x and strategy pairs, of the conditional frequencies P(x|m).
 
     Post-warmup slots are pooled across runs; cells with fewer than
-    ``min_cell`` observations are excluded from the sup.
+    ``KAPPA_MIN_CELL`` observations are excluded from the sup.
     """
     if ensemble.p is None or ensemble.m is None:
         raise EstimationError("ensemble was run without per-run arrays")
@@ -161,34 +155,24 @@ def estimate_kappa(
     m_ids, m_inv = np.unique(m_flat, return_inverse=True)
     n_m = m_ids.size
     n_x = int(x_flat.max()) + 1
-    counts = np.zeros((n_m, n_x))
-    np.add.at(counts, (m_inv, x_flat), 1.0)
+    counts = np.bincount(m_inv * n_x + x_flat, minlength=n_m * n_x).reshape(n_m, n_x)
     if n_m < 2:
         return KappaEstimate(
             None, "fewer than two strategies observed", n_m, pooled, 0, 0
         )
-    totals = counts.sum(axis=1, keepdims=True)
-    included = counts >= min_cell
-    cond = np.where(included, counts / totals, np.nan)
-    best = None
-    for x in range(n_x):
-        col = cond[:, x]
-        vals = col[np.isfinite(col)]
-        if vals.size < 2:
-            continue
-        ratio = math.log(float(vals.max()) / float(vals.min()))
-        if best is None or ratio > best:
-            best = ratio
+    included = counts >= KAPPA_MIN_CELL
+    cond = counts / counts.sum(axis=1, keepdims=True)
+    usable = included.sum(axis=0) >= 2  # cost vectors seen often under two strategies
     n_inc = int(included.sum())
-    if best is None:
+    sizes = (n_m, pooled, n_inc, int((counts > 0).sum()) - n_inc)
+    if not usable.any():
         return KappaEstimate(
-            None,
-            f"no cost vector observed >= {min_cell} times under two strategies",
-            n_m, pooled, n_inc, int((counts > 0).sum()) - n_inc,
+            None, f"no cost vector observed >= {KAPPA_MIN_CELL} times under two strategies",
+            *sizes,
         )
-    return KappaEstimate(
-        max(best, 0.0), "ok", n_m, pooled, n_inc, int((counts > 0).sum()) - n_inc
-    )
+    hi = np.where(included, cond, 0.0)[:, usable].max(axis=0)
+    lo = np.where(included, cond, np.inf)[:, usable].min(axis=0)
+    return KappaEstimate(math.log(float((hi / lo).max())), "ok", *sizes)
 
 
 @dataclass(frozen=True)

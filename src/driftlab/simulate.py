@@ -68,12 +68,16 @@ PRUNE_CHUNK = 256
 SCREEN_CHUNK = 512
 
 
-def _int_problem(name: str, value, least: int) -> str | None:
-    """Why ``value`` is not an integer >= ``least`` (a bool is not one), or None."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        return f"{name} must be an integer, got {value!r}"
-    if value < least:
-        return f"{name} must be >= {least}, got {value}"
+def number_problem(value, kind: type, least: float, strict: bool = False) -> str | None:
+    """Why ``value`` is not a finite ``kind`` >= ``least`` (> ``least`` when
+    ``strict``), or None.  An int field takes an ``int``, a float field an
+    ``int`` or a ``float``; neither takes a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        return f"must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"must be finite, got {value}"
+    if value <= least if strict else value < least:
+        return f"must be {'>' if strict else '>='} {least}, got {value}"
     return None
 
 
@@ -94,18 +98,20 @@ class SimConfig:
         return self.window
 
     def validate(self) -> None:
-        problems = []
-        if not math.isfinite(self.V) or self.V < 0:
-            problems.append(f"V must be finite and >= 0, got {self.V}")
-        for name, least in (("D", 0), ("horizon", 1), ("window", 1), ("seed", 0)):
-            problem = _int_problem(name, getattr(self, name), least)
-            if problem:
-                problems.append(problem)
+        problems = [
+            f"{name} {problem}"
+            for name, kind, least in (("V", float, 0.0), ("D", int, 0), ("horizon", int, 1),
+                                      ("window", int, 1), ("seed", int, 0))
+            if (problem := number_problem(getattr(self, name), kind, least))
+        ]
         n = self.space.states.total
         if len(self.schedule.limit) != n:
             problems.append("schedule limit length does not match the state space")
         if self.covering.n_outcomes != n:
             problems.append("covering members do not match the state space")
+        longest = np.iinfo(np.intp).max // (8 * n)  # rows numpy can give (T, n) float64
+        if not problems and self.horizon > longest:
+            problems.append(f"horizon must be <= {longest} for {n} states, got {self.horizon:.3g}")
         uncovered = ~(self.covering.prob_matrix > 0).any(axis=0)
         if not problems and uncovered.any():
             weights = self.schedule.weights_matrix(self.horizon)[:, uncovered]
@@ -396,9 +402,9 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
 
 def run(config: SimConfig, run_index: int = 0) -> RunTrace:
     """Execute one seeded run and return its full trace."""
-    problem = _int_problem("run_index", run_index, 0)
+    problem = number_problem(run_index, int, 0)
     if problem:
-        raise ConfigurationError(problem)
+        raise ConfigurationError(f"run_index {problem}")
     config.validate()
     return _run_block(config, run_index, 1)[0]
 
@@ -536,9 +542,9 @@ def run_ensemble(
     Blocks run in forked workers when there is more than one usable CPU (see
     the module docstring); ``on_trace`` and the merge run in this process.
     """
-    problem = _int_problem("n_runs", n_runs, 1)
+    problem = number_problem(n_runs, int, 1)
     if problem:
-        raise ConfigurationError(problem)
+        raise ConfigurationError(f"n_runs {problem}")
     config.validate()
     workers = _worker_count(n_runs)
     blocks = _partition(n_runs, workers, config.D)

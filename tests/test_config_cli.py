@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 from driftlab import cli, simulate
 from driftlab.cli import blocking_constants, fmt, main, read_traces
-from driftlab.config import TOP_KEYS, ConfigError, config_from_dict, dump_preset, read_config
+from driftlab.config import (
+    DEFAULTS, NUMBER_RULES, SWEEP_RULES, TOP_KEYS, ConfigError, config_from_dict, dump_preset,
+    read_config,
+)
 from driftlab.errors import DriftlabError
 from driftlab.guarantees import LOG3
 from driftlab.presets import sensor3_covering_and_schedule, sensor3_document, sensor3_model
@@ -96,6 +99,12 @@ class TestConfig:
         # int(inf) raises OverflowError, which used to escape as a traceback
         with pytest.raises(ConfigError, match="window: expected a int, got inf"):
             config_from_dict({"preset": "sensor3", "window": float("inf")})
+
+    def test_every_number_key_has_a_rule(self):
+        # a numeric key without a rule would load unchecked
+        numeric = {key for key, value in DEFAULTS.items() if type(value) in (int, float)}
+        assert numeric | {"kappa"} == set(NUMBER_RULES)
+        assert set(DEFAULTS["sweep"]) == set(SWEEP_RULES)
 
     def test_out_dir_must_be_a_string(self):
         with pytest.raises(ConfigError, match="out_dir: expected a string, got 5"):
@@ -293,6 +302,37 @@ class TestCli:
             assert main([cmd, "--config", str(p), "--out", str(tmp_path / "o"),
                          "--runs", "1", "--horizon", "50"]) == 2
         assert "V: must be finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("V", True, "V: expected a float, got True"),
+        ("V", "1", "V: expected a float, got '1'"),
+        ("nu", True, "nu: expected a float, got True"),
+        ("runs", "3", "runs: expected a int, got '3'"),
+        ("covering", {"delta": "0.1"}, "covering.delta: expected a float, got '0.1'"),
+    ])
+    def test_bool_or_string_number_exit_code(self, tmp_path, capsys, key, value, message):
+        # each used to load as the number it spells (V = 1.0, runs = 3, delta = 0.1)
+        doc = dump_preset()
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+        p = write_doc(tmp_path, doc)
+        assert main(["lp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"\n  {message}\n" in capsys.readouterr().err + "\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("stage", ["simulate", "bounds"])
+    def test_unshapeable_horizon_exit_code(self, tmp_path, capsys, stage):
+        # 1e308 used to load, and numpy raised on the (horizon, |Omega|) arrays
+        p = write_doc(tmp_path, {"preset": "sensor3", "horizon": 1e308})
+        assert main([stage, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "\n  horizon must be <= " in capsys.readouterr().err
+
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB")
+
+        monkeypatch.setattr(cli, "run_ensemble", out_of_memory)
+        assert main(["simulate", "--out", str(tmp_path / "o"), "--horizon", "5"]) == 4
+        assert "out of memory: Unable to allocate 29.1 TiB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sweep, field", [
         ({"V": ["x"]}, "sweep.V[0]"),

@@ -77,8 +77,7 @@ class TestBeta1:
         jstar = np.zeros((n, T), dtype=np.int32)
         jstar[:150, 5] = 1  # half the runs err at slot 5
         ens = synthetic_ensemble(p, jstar=jstar)
-        est = estimate_beta1(ens, k=0, s=2, alpha=0, anchors=np.array([6]),
-                             min_runs=100)
+        est = estimate_beta1(ens, k=0, s=2, alpha=0, anchors=np.array([6]))
         assert est.anchors[0].surviving == 150
 
     def test_floor_skips_and_raises(self):
@@ -87,8 +86,7 @@ class TestBeta1:
         jstar = np.zeros((n, T), dtype=np.int32)
         jstar[:50, 2] = 1
         ens = synthetic_ensemble(p, jstar=jstar)
-        est = estimate_beta1(ens, k=0, s=2, alpha=0, anchors=np.array([1, 4]),
-                             min_runs=100)
+        est = estimate_beta1(ens, k=0, s=2, alpha=0, anchors=np.array([1, 4]))
         assert [a.t for a in est.anchors] == [1]
         assert est.skipped == ((4, 70),)
         jstar[:, 0] = 1  # every run errs at slot 0
@@ -141,7 +139,7 @@ class TestKappa:
         p = np.zeros((n, T, 1))
         m[:10, 0] = 1
         p[:10, 0, 0] = 99.0
-        est = estimate_kappa(synthetic_ensemble(p, m=m), min_cell=50)
+        est = estimate_kappa(synthetic_ensemble(p, m=m))
         assert est.value is None
         assert "no cost vector" in est.reason
 

@@ -428,7 +428,8 @@ class TestRun:
             run_ensemble(bad, 2)
 
     @pytest.mark.parametrize("field, value", [
-        ("D", 1.5), ("D", True), ("horizon", 50.0), ("seed", -1), ("seed", 0.0),
+        ("V", True), ("V", "1"), ("D", 1.5), ("D", True), ("horizon", 50.0), ("seed", -1),
+        ("seed", 0.0),
         ("n_runs", 2.5), ("n_runs", "3"), ("n_runs", True), ("n_runs", 0),
         ("run_index", 1.0), ("run_index", -1), ("run_index", False),
     ])
