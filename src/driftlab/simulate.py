@@ -36,9 +36,10 @@ import contextlib
 import math
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -63,9 +64,10 @@ PASS_ROWS = 96
 # temporaries are PRUNE_CHUNK x (candidates so far).
 PRUNE_CHUNK = 256
 
-# Post-warmup slots screened together by ``detect_windows``; its temporaries
-# are 2 x M x n x (SCREEN_CHUNK + w) floats.
-SCREEN_CHUNK = 512
+# (run, slot) cells screened together by ``detect_windows``: a chunk spans
+# max(w, SCREEN_CELLS // n) slots of an n-run block, and its prefix sums are
+# 2 x M x n x (chunk + w) floats (BENCH_23.json).
+SCREEN_CELLS = 6144
 
 
 def number_problem(value, kind: type, least: float, strict: bool = False) -> str | None:
@@ -139,7 +141,7 @@ class SimConfig:
     def candidates(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per member: (candidate indices, r_table columns of those candidates)."""
         out = []
-        for r_table in map(self.space.r_table, self.covering.members):
+        for r_table in self.space.r_table(self.covering.members):
             cand = selection_candidates(r_table)
             out.append((cand, r_table[:, cand]))
         return tuple(out)
@@ -266,13 +268,13 @@ def detect_windows(
     for every slot t of ``slots``.
 
     The result equals calling ``detect`` slot by slot.  Slots are taken
-    ``SCREEN_CHUNK`` at a time.  Over the outcomes a chunk's windows span,
-    each member and run gets prefix sums of its finite log-likelihoods and of
-    its zero-mass outcomes.  A window's score is a difference of two prefix
-    sums, or -inf when it holds a zero-mass outcome.  A window is settled
-    when the best member's lower bound is finite and exceeds every other
-    member's upper bound; the others go through ``detect``, one call per
-    chunk.
+    max(w, ``SCREEN_CELLS`` // n) at a time.  Over the outcomes a chunk's
+    windows span, each member and run gets prefix sums of its finite
+    log-likelihoods and of its zero-mass outcomes.  A window's score is a
+    difference of two prefix sums, or -inf when it holds a zero-mass
+    outcome.  A window is settled when the best member's lower bound is
+    finite and exceeds every other member's upper bound; the others go
+    through ``detect``, one call per chunk.
 
     Rounding bound.  Let x_i be the finite terms of one member and run
     (0 for a zero-mass outcome), P_k and A_k the exact sums of x_i and |x_i|
@@ -310,8 +312,9 @@ def detect_windows(
     table = np.stack([x, (~finite).astype(np.float64)])  # (2, M, |Ω|)
     u = np.finfo(np.float64).eps / 2
     out = np.empty((n, slots.size), dtype=np.int64)
-    for lo in range(0, slots.size, SCREEN_CHUNK):
-        hi = slots[lo : lo + SCREEN_CHUNK] - D + 1  # window ends (exclusive)
+    chunk = max(w, SCREEN_CELLS // n)
+    for lo in range(0, slots.size, chunk):
+        hi = slots[lo : lo + chunk] - D + 1  # window ends (exclusive)
         start, stop = int(hi.min()) - w, int(hi.max())
         if start < 0 or stop > omega.shape[1]:
             raise DimensionError(f"windows span slots {start}..{stop - 1} outside omega")
@@ -366,6 +369,7 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
     K = space.cost.n_penalties
     T, D, V = config.horizon, config.D, config.V
     c = space.cost.c
+    tables = space.cost.tables.reshape(K + 1, -1)  # p_k at each space.cell_of entry
     warm = config.warmup_mask()
 
     rngs = [run_rngs(config.seed, first + i) for i in range(n)]
@@ -391,7 +395,8 @@ def _run_block(config: SimConfig, first: int, n: int) -> list[RunTrace]:
             cand, r_cand = config.candidates[member]
             m[group] = cand[select_strategy(q[group], V, r_cand)]
         ms[:, t0:t1] = m
-        p[:, t0:t1] = space.realized[:, m, omega[:, t0:t1]].transpose(1, 2, 0)
+        cells = space.cell_of[m, omega[:, t0:t1]]
+        p[:, t0:t1] = np.take(tables, cells, axis=1).transpose(1, 2, 0)
         t = t1 - 1
         Q[:, t1] = update_queues(Q[:, t], p[:, t - D, 1:] if t >= D else no_delayed, c)
     return [
@@ -419,21 +424,36 @@ def _worker_count(n_runs: int) -> int:
     return min(cpus, -(-n_runs // RUN_BLOCK))
 
 
-def _partition(n_runs: int, workers: int, D: int) -> list[tuple[int, int]]:
-    """(first run, size) of each block, by the rule at ``PASS_ROWS``."""
+@dataclass(frozen=True)
+class _Blocks(Sequence):
+    """``count`` consecutive blocks of ``n_runs`` runs whose sizes differ by
+    at most 1, larger first; block b's (first run, size) is computed from b."""
+
+    n_runs: int
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, b: int) -> tuple[int, int]:
+        if not 0 <= b < self.count:
+            raise IndexError(b)
+        size, extra = divmod(self.n_runs, self.count)
+        return b * size + min(b, extra), size + (b < extra)
+
+
+def _partition(n_runs: int, workers: int, D: int) -> _Blocks:
+    """The blocks of ``n_runs`` runs, by the rule at ``PASS_ROWS``."""
     count = -(-n_runs // max(1, PASS_ROWS // (D + 1)))
-    count = min(-(-count // workers) * workers, n_runs)
-    size, extra = divmod(n_runs, count)
-    sizes = [size + (b < extra) for b in range(count)]
-    return [(sum(sizes[:b]), n) for b, n in enumerate(sizes)]
+    return _Blocks(n_runs, min(-(-count // workers) * workers, n_runs))
 
 
-def _in_process_runs(config: SimConfig, blocks: list[tuple[int, int]]):
+def _in_process_runs(config: SimConfig, blocks: Iterable[tuple[int, int]]):
     for first, size in blocks:
         yield from enumerate(_run_block(config, first, size), first)
 
 
-def _worker(config: SimConfig, blocks: list[tuple[int, int]], conn) -> None:
+def _worker(config: SimConfig, blocks: Iterable[tuple[int, int]], conn) -> None:
     """Forked worker: send each run of ``blocks`` in order, or the exception
     that stopped it."""
     try:
@@ -445,7 +465,7 @@ def _worker(config: SimConfig, blocks: list[tuple[int, int]], conn) -> None:
         conn.close()
 
 
-def _forked_runs(config: SimConfig, blocks: list[tuple[int, int]], workers: int):
+def _forked_runs(config: SimConfig, blocks: _Blocks, workers: int):
     """Yield (run index, trace) in run order from ``workers`` forked workers.
 
     Each worker has its own pipe and sends one message per run; block b
@@ -465,7 +485,8 @@ def _forked_runs(config: SimConfig, blocks: list[tuple[int, int]], workers: int)
             recv, send = ctx.Pipe(duplex=False)
             conns.append(recv)
             procs.append(ctx.Process(
-                target=_worker, args=(config, blocks[w::workers], send), daemon=True,
+                target=_worker, daemon=True,
+                args=(config, (blocks[b] for b in range(w, len(blocks), workers)), send),
             ))
             procs[-1].start()
             send.close()  # the worker holds the write end; EOF means it died

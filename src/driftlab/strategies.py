@@ -1,9 +1,10 @@
 """Pure strategies, cost/penalty tables, and strategy-average quantities.
 
 A pure strategy maps each user's local state to a local action; the joint
-strategies are enumerated 0..F-1 by a mixed-radix bijection and realized
-costs are cached per (strategy, joint state) so both the LP oracle and the
-control loop can consume them as dense arrays.
+strategies are enumerated 0..F-1 by a mixed-radix bijection.  One
+(strategy, joint state) index into the flattened cost tables serves the LP
+oracle, the curvature rows and the control loop; realized costs are looked
+up through it, one cost row at a time, and never stored as a cube.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +20,9 @@ from .distributions import FiniteDistribution, MixedRadix, ProductStateSpace, _f
 from .errors import ConfigurationError, DimensionError
 
 STRATEGY_COUNT_GUARD = 2**32
-ACTION_MATRIX_GUARD = 2**27  # cap on F * |Omega| for dense enumeration
+# Cap on F * |Omega| cells.  A space holds 12 bytes per cell (``actions_of``
+# and ``cell_of``); ``r_table`` and ``curvature_rows`` add 8-16 while they run.
+ACTION_MATRIX_GUARD = 2**27
 
 
 @dataclass(frozen=True)
@@ -118,11 +122,12 @@ def cover_rows(table: np.ndarray) -> np.ndarray:
 
 
 class StrategySpace:
-    """Full enumeration of pure strategies with cached realized costs.
+    """Full enumeration of pure strategies.
 
-    ``actions_of`` holds the (F, |Omega|) joint-action matrix and ``realized``
-    the (K+1, F, |Omega|) table lookups, so strategy averages reduce to
-    matrix-vector products.
+    ``actions_of`` holds the (F, |Omega|) joint-action matrix and ``cell_of``
+    the matching flat (action, state) index, so the realized cost of strategy
+    m in state omega is ``cost.tables[k].ravel()[cell_of[m, omega]]`` and
+    strategy averages reduce to matrix-vector products over ``cost_row(k)``.
     """
 
     def __init__(
@@ -145,32 +150,51 @@ class StrategySpace:
             raise ConfigurationError(
                 "dense strategy enumeration too large; reduce F or |Omega|"
             )
-        self.actions_of = self._build_action_matrix()
-        # np.take on the flat (action, state) index returns a C-contiguous
-        # table, which _freeze keeps without a copy
-        flat = self.actions_of.astype(np.intp) * states.total + np.arange(states.total)
-        tables = cost.tables.reshape(cost.tables.shape[0], -1)
-        self.realized = _freeze(np.take(tables, flat, axis=1))
+        self.actions_of, self.cell_of = self._build_indices()
 
-    def _build_action_matrix(self) -> np.ndarray:
+    def _build_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """``actions_of`` (int32) and ``cell_of`` (intp), both in C order, so
+        a cost row gathered through ``cell_of`` is C-contiguous too."""
         # digits[m, o_i + s]: the action of user i in local state s, where
         # o_i is the number of local states of the users before i
         digits = np.stack(self.codec.component_arrays()[::-1], axis=1)
-        offsets = np.cumsum((0,) + self.states.counts[:-1])
-        out = sum(
-            digits[:, o + comp] * mult
-            for o, comp, mult in zip(
-                offsets, self.states.component_arrays(), self.actions.multipliers
-            )
-        )
-        out = out.astype(np.int32)
-        out.setflags(write=False)
-        return out
+        counts = self.states.counts
+        offsets = np.cumsum((0,) + counts[:-1])
+        # axis 1 + i of the (F, |Omega_1|, ..., |Omega_N|) grid is user i's
+        # state, the joint state order with the first user most significant
+        cells = np.zeros((self.F, *counts), dtype=np.intp)
+        for i, (o, c, mult) in enumerate(zip(offsets, counts, self.actions.multipliers)):
+            shape = (self.F,) + (1,) * i + (c,) + (1,) * (len(counts) - 1 - i)
+            cells += (digits[:, o : o + c] * mult).reshape(shape)
+        cells = cells.reshape(self.F, -1)
+        actions_of = cells.astype(np.int32)
+        cells *= self.states.total
+        cells += np.arange(self.states.total)
+        for a in (actions_of, cells):
+            a.setflags(write=False)
+        return actions_of, cells
 
-    def r_table(self, lam: FiniteDistribution) -> np.ndarray:
-        """(K+1, F) matrix of strategy averages under lam."""
-        self._check_dist(lam)
-        return self.realized @ lam.probs
+    def cost_row(self, k: int) -> np.ndarray:
+        """(F, |Omega|) realized p_k of each strategy in each state, gathered
+        on each call.  It is C-contiguous, so ``r_table``'s products match
+        the same product over a stored table bit for bit."""
+        return self.cost.tables[k].ravel()[self.cell_of]
+
+    def r_table(
+        self, lam: FiniteDistribution | Sequence[FiniteDistribution]
+    ) -> np.ndarray:
+        """(K+1, F) matrix of strategy averages under lam; a sequence of n
+        distributions gives (n, K+1, F) and gathers each cost row once."""
+        single = isinstance(lam, FiniteDistribution)
+        lams = [lam] if single else list(lam)
+        for one in lams:
+            self._check_dist(one)
+        out = np.empty((len(lams), self.cost.n_penalties + 1, self.F))
+        for k in range(out.shape[1]):
+            row = self.cost_row(k)
+            for i, one in enumerate(lams):
+                out[i, k] = row @ one.probs
+        return out[0] if single else out
 
     @cached_property
     def curvature_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -178,8 +202,11 @@ class StrategySpace:
         sum_k (p_k - c_k)^2, and those rows.  Rows and schedule weights are
         non-negative, so a row <= another row never sets the max in
         ``b_series``."""
-        diff = self.realized[1:] - self.cost.c[:, None, None]
-        sq = np.einsum("kfs,kfs->fs", diff, diff)
+        sq = np.zeros(self.cell_of.shape)
+        for k, c in enumerate(self.cost.c, 1):
+            diff = self.cost_row(k)
+            diff -= c
+            sq += np.multiply(diff, diff, out=diff)
         ids = cover_rows(sq)
         return ids, _freeze(sq[ids])
 

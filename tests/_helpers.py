@@ -25,6 +25,10 @@ def uniform(n: int) -> FiniteDistribution:
     return FiniteDistribution(np.full(n, 1.0 / n))
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def stationary(dist: FiniteDistribution) -> PiecewiseSchedule:
     return PiecewiseSchedule(limit=dist, segments=((0, dist),))
 

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import threading
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import point_mass, sensor3_space, sensor_limit, stationary, uniform
+from _helpers import point_mass, same_bits, sensor3_space, sensor_limit, stationary, uniform
 from driftlab import simulate
 from driftlab import ConfigurationError, CoveringSet, FiniteDistribution
 from driftlab.errors import DimensionError, DriftlabError, EstimationError
@@ -30,7 +31,7 @@ from driftlab.simulate import (
     warmup_detect,
 )
 from driftlab.strategies import ActionModel, CostModel, StrategySpace
-from oracles import b_value, decode_strategy, lyapunov_drift
+from oracles import b_value, decode_strategy, lyapunov_drift, realized_cube
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +113,7 @@ class TestDetectWindows:
         cfg = SimConfig(space=None, schedule=None, covering=cov, V=0.0, D=D,
                         window=window, horizon=T, seed=0)
         post = np.flatnonzero(~cfg.warmup_mask())
-        with mock.patch.object(simulate, "SCREEN_CHUNK", chunk):
+        with mock.patch.object(simulate, "SCREEN_CELLS", chunk * n):
             got = detect_windows(omega, post, window, D, cov)
         assert got.shape == (n, post.size)
         for col, t in enumerate(post):
@@ -124,8 +125,8 @@ class TestDetectWindows:
     def test_ties_go_through_detect_once_per_chunk(self):
         cov = tiny_covering([0.5, 0.5], [0.5, 0.5], [0.9, 0.1])
         omega = np.tile([1, 1, 0, 1, 1, 0, 1, 1], (3, 5))  # (3, 40); member 2 never wins
-        slots = np.arange(6, 40)  # chunks of 20 and 14 slots
-        with mock.patch.object(simulate, "SCREEN_CHUNK", 20), \
+        slots = np.arange(6, 40)  # 60 cells over 3 runs: chunks of 20 and 14 slots
+        with mock.patch.object(simulate, "SCREEN_CELLS", 60), \
                 mock.patch.object(simulate, "detect", wraps=detect) as spy:
             got = detect_windows(omega, slots, 5, 1, cov)
         assert not got.any()  # members 0 and 1 tie exactly; the lowest index wins
@@ -475,6 +476,7 @@ class TestEverySlotReplay:
             assert cfg.warmup_mask().all()
         space = cfg.space
         tables = [space.r_table(member) for member in cfg.covering.members]
+        realized = realized_cube(space)
         c = space.cost.c
         zeros = np.zeros(c.size)
         traces = []
@@ -485,7 +487,7 @@ class TestEverySlotReplay:
                 assert tr.m[t] == select_strategy(q_prev, cfg.V, tables[tr.jstar[t]]), (i, t)
                 delayed = tr.p[t - D, 1:] if t >= D else zeros
                 assert np.array_equal(tr.q[t], update_queues(q_prev, delayed, c)), (i, t)
-                assert np.array_equal(tr.p[t], space.realized[:, tr.m[t], tr.omega[t]]), (i, t)
+                assert np.array_equal(tr.p[t], realized[:, tr.m[t], tr.omega[t]]), (i, t)
 
 
 class TestEnsemble:
@@ -575,10 +577,6 @@ TRACE_FIELDS = ("omega", "jstar", "m", "p", "q", "avg")
 RESULT_FIELDS = ("mean_p", "final_avg", "warmup", "p", "jstar", "m", "q")
 
 
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 class TestWorkers:
     @pytest.fixture(scope="class")
     def in_process(self, worker_cfg):
@@ -632,9 +630,22 @@ class TestWorkers:
 
     def test_twenty_runs_split_evenly(self):
         for D in (0, 2):
-            assert simulate._partition(20, 2, D) == [(0, 10), (10, 10)]
+            assert list(simulate._partition(20, 2, D)) == [(0, 10), (10, 10)]
         # the piecewise-delay ensemble: D = 2 caps a block at 32 runs
-        assert simulate._partition(120, 2, 2) == [(0, 30), (30, 30), (60, 30), (90, 30)]
+        assert list(simulate._partition(120, 2, 2)) == [(0, 30), (30, 30), (60, 30), (90, 30)]
+
+    def test_huge_partition_is_computed_not_listed(self):
+        start = time.perf_counter()
+        blocks = simulate._partition(10**12, 2, 0)
+        count = len(blocks)
+        picked = [blocks[b] for b in (0, 1, count - 1)]
+        assert time.perf_counter() - start < 0.05
+        assert count == -(-10**12 // simulate.PASS_ROWS) + 1  # rounded up to 2 workers
+        size, extra = divmod(10**12, count)
+        assert picked == [(b * size + min(b, extra), size + (b < extra)) for b in (0, 1, count - 1)]
+        assert picked[-1][0] + picked[-1][1] == 10**12
+        with pytest.raises(IndexError):
+            blocks[count]
 
     def test_worker_exception_keeps_type_and_message(self, worker_cfg, monkeypatch):
         from driftlab.config import ConfigError

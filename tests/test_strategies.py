@@ -1,16 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import point_mass, sensor_tables, uniform
-from driftlab import ConfigurationError, DimensionError, DomainError, FiniteDistribution
+from _helpers import point_mass, same_bits, sensor3_space, sensor_tables, stationary, uniform
+from driftlab import ConfigurationError, CoveringSet, DimensionError, DomainError, FiniteDistribution
+from driftlab import simulate
+from driftlab.config import config_from_dict
 from driftlab.distributions import ProductStateSpace
+from driftlab.presets import sensor3_covering_and_schedule
+from driftlab.simulate import SimConfig
 from driftlab.strategies import ActionModel, CostModel, StrategySpace, cover_rows
 from oracles import (
     PureStrategy, apply_strategy, b_value, decode_strategy, encode_strategy, r_vector,
-    strategy_count,
+    realized_cube, strategy_count,
 )
 
 
@@ -189,15 +195,39 @@ class TestRVector:
         for m in rng.integers(0, space.F, size=25):
             assert np.allclose(table[:, m], r_vector(space, int(m), lam), atol=1e-14)
 
-    @pytest.mark.parametrize("counts", [((2, 2, 2), (4, 4, 4)), ((2, 3), (2, 1))])
-    def test_realized_is_a_contiguous_read_only_lookup(self, counts):
-        actions, states = ActionModel(counts[0]), ProductStateSpace(counts[1])
+    @pytest.mark.parametrize("case", ["sensor3", "random-small", "k0"])
+    def test_lookups_equal_a_stored_cube(self, case):
+        """``r_table``, ``curvature_rows`` and a block's ``p`` are bit-equal
+        to the same operations on a stored, C-contiguous realized cube."""
         rng = np.random.default_rng(4)
-        cost = CostModel(tables=rng.random((3, actions.total, states.total)), c=np.ones(2))
-        space = StrategySpace(actions, states, cost)
-        lookup = cost.tables[:, space.actions_of, np.arange(states.total)[None, :]]
-        assert np.array_equal(space.realized, lookup)
-        assert space.realized.flags.c_contiguous and not space.realized.flags.writeable
+        if case == "sensor3":
+            space = sensor3_space()
+            covering, schedule = sensor3_covering_and_schedule(space.states)
+        else:
+            actions, states = ActionModel((2, 3)), ProductStateSpace((2, 1))
+            K = 2 if case == "random-small" else 0
+            cost = CostModel(tables=rng.random((K + 1, actions.total, states.total)),
+                             c=rng.random(K))
+            space = StrategySpace(actions, states, cost)
+            raw = rng.random((3, states.total)) + 0.1
+            members = [FiniteDistribution(r / r.sum()) for r in raw]
+            covering = CoveringSet(members=members, delta=1.0, alpha_delta=1.0, beta_delta=0.01)
+            schedule = stationary(members[0])
+        cube = np.ascontiguousarray(realized_cube(space))
+        tables = space.r_table(covering.members)
+        for member, table in zip(covering.members, tables):
+            assert same_bits(space.r_table(member), cube @ member.probs)
+            assert same_bits(table, cube @ member.probs)
+
+        diff = cube[1:] - space.cost.c[:, None, None]
+        sq = np.einsum("kfs,kfs->fs", diff, diff)
+        ids, rows = space.curvature_rows
+        assert same_bits(ids, cover_rows(sq)) and same_bits(rows, sq[ids])
+
+        cfg = SimConfig(space=space, schedule=schedule, covering=covering,
+                        V=20.0, D=1, window=3, horizon=30, seed=2)
+        for tr in simulate._run_block(cfg, 0, 3):
+            assert same_bits(tr.p, cube[:, tr.m, tr.omega].T)
 
 
 class TestBt:
@@ -253,7 +283,7 @@ class TestBt:
 
 
 def _full_b_series(space, weights):
-    diff = space.realized[1:] - space.cost.c[:, None, None]
+    diff = realized_cube(space)[1:] - space.cost.c[:, None, None]
     sq = (diff**2).sum(axis=0)
     return sq, 0.5 * (sq @ weights.T).max(axis=0)
 
@@ -315,3 +345,22 @@ class TestCurvatureRows:
         np.testing.assert_allclose(
             space.b_series(weights), _full_b_series(space, weights)[1], rtol=1e-13
         )
+
+
+class TestMemory:
+    """Realized costs are looked up through the (strategy, state) index, one
+    cost row at a time: a stored (K+1, F, |Omega|) cube, 8 MiB on sensor3,
+    would fail both bounds."""
+
+    def test_sensor3_config_and_curvature_rows_stay_small(self):
+        tracemalloc.start()
+        try:
+            cfg = config_from_dict({"preset": "sensor3"})
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cfg.space.curvature_rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held < 6 * 2**20
+        assert peak < 16 * 2**20
