@@ -26,7 +26,7 @@ from .distributions import (
     ProductStateSpace,
     Schedule,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DriftlabError
 from .guarantees import MODE_DEFAULT, MODE_LITERAL
 from .presets import sensor3_document
 from .simulate import SimConfig, number_problem
@@ -239,7 +239,7 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
     if preset is not None and preset != "sensor3":
         errors.append(f'preset: unknown preset {preset!r} (known: "sensor3")')
         raise ConfigError(errors)
-    base = {**DEFAULTS, **(sensor3_document() if preset else {})}
+    base = dump_preset() if preset else DEFAULTS
     user_sweep = doc.get("sweep")
     doc = {**base, **doc}
     if isinstance(user_sweep, dict):
@@ -264,7 +264,7 @@ def config_from_dict(doc: dict, source: str = "<config>") -> ExperimentConfig:
             if cost is not None:
                 try:
                     space = StrategySpace(actions, states, cost)
-                except Exception as exc:
+                except DriftlabError as exc:
                     errors.append(f"cost: {exc}")
     covering = _build_covering(doc["covering"], errors) if "covering" in doc else None
     schedule = _build_schedule(doc["schedule"], errors) if "schedule" in doc else None

@@ -34,9 +34,6 @@ class AnchorEstimate:
 
 @dataclass(frozen=True)
 class Beta1Estimate:
-    k: int
-    s: int
-    alpha: int
     value: float  # max TV over usable anchors
     ci_half: float  # half-width at the maximizing anchor
     anchors: tuple[AnchorEstimate, ...]
@@ -121,8 +118,7 @@ def estimate_beta1(
         )
     best = max(kept, key=lambda a: a.tv)
     return Beta1Estimate(
-        k=k, s=s, alpha=alpha, value=best.tv, ci_half=best.ci_half,
-        anchors=tuple(kept), skipped=tuple(skipped),
+        value=best.tv, ci_half=best.ci_half, anchors=tuple(kept), skipped=tuple(skipped)
     )
 
 

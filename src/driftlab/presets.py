@@ -6,19 +6,18 @@ min(a1*w1/3 + (a2*w2 + a3*w3)/6, 1) and each sensor's average power is
 constrained to 1/3.  The state distribution starts at a perturbed member and
 settles geometrically on the product of per-sensor (0.1, 0.7, 0.1, 0.1);
 candidate distributions are the limit plus seven seeded perturbations, each
-moving one sensor's marginal by 0.2 in L1.
+at L1 distance 0.2 from it.
+
+The preset is a config document only (``sensor3_document``): the loader
+builds its space, covering and schedule, so every stage, the benchmark and
+the tests run the same objects.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distributions import (
-    CoveringSet,
-    FiniteDistribution,
-    GeometricSchedule,
-    ProductStateSpace,
-)
+from .distributions import FiniteDistribution, ProductStateSpace
 from .strategies import ActionModel, CostModel
 
 # Fixed construction seed: the covering set is part of the benchmark
@@ -84,35 +83,22 @@ def sensor3_members(states: ProductStateSpace) -> tuple[FiniteDistribution, ...]
     return tuple(members)
 
 
-def sensor3_covering_and_schedule(
-    states: ProductStateSpace,
-) -> tuple[CoveringSet, GeometricSchedule]:
-    rho = 0.99
-    members = sensor3_members(states)
-    limit, start = members[0], members[1]
-    # realized covering radius along the transient path
-    mat = np.vstack([m.probs for m in members])
-    r = rho ** np.arange(1500)[:, None]
-    path = (1.0 - r) * limit.probs[None, :] + r * start.probs[None, :]
-    nearest = np.abs(path[:, None, :] - mat[None, :, :]).sum(axis=2).min(axis=1)
-    delta = float(nearest.max()) * 1.001 + 1e-9
-    pos = mat[mat > 0]
-    covering = CoveringSet(
-        members=members,
-        delta=delta,
-        alpha_delta=float(pos.max()) * 1.1,
-        beta_delta=float(pos.min()) * 0.9,
-    )
-    schedule = GeometricSchedule(limit=limit, start=start, rho=rho)
-    return covering, schedule
-
-
 def sensor3_document() -> dict:
-    """The preset as a config document: the model, covering and schedule
-    above as plain lists, plus the run and sweep settings that differ from
-    the defaults."""
+    """The preset as a config document: the model and covering members above
+    as plain lists, the covering radius and support band they imply, the
+    geometric schedule from member 1 to the limit, and the run and sweep
+    settings that differ from the defaults."""
     actions, states, cost = sensor3_model()
-    covering, schedule = sensor3_covering_and_schedule(states)
+    members = np.vstack([m.probs for m in sensor3_members(states)])
+    limit, start = members[0], members[1]
+    rho = 0.99
+    # realized covering radius along the transient path, one member at a time
+    r = rho ** np.arange(1500)[:, None]
+    path = (1.0 - r) * limit + r * start
+    nearest = np.full(len(path), np.inf)
+    for member in members:
+        np.minimum(nearest, np.abs(path - member).sum(axis=1), out=nearest)
+    pos = members[members > 0]
     return {
         "V": 20.0,
         "window": 40,
@@ -122,16 +108,12 @@ def sensor3_document() -> dict:
         "action_space": list(actions.counts),
         "cost": {"tables": cost.tables.tolist(), "constraints": cost.c.tolist()},
         "covering": {
-            "members": [m.probs.tolist() for m in covering.members],
-            "delta": covering.delta,
-            "alpha_delta": covering.alpha_delta,
-            "beta_delta": covering.beta_delta,
+            "members": members.tolist(),
+            "delta": float(nearest.max()) * 1.001 + 1e-9,
+            "alpha_delta": float(pos.max()) * 1.1,
+            "beta_delta": float(pos.min()) * 0.9,
         },
-        "schedule": {
-            "kind": "geometric",
-            "rho": schedule.rho,
-            "start": schedule.start.probs.tolist(),
-            "limit": schedule.limit.probs.tolist(),
-        },
+        "schedule": {"kind": "geometric", "rho": rho, "start": start.tolist(),
+                     "limit": limit.tolist()},
         "sweep": {"V": [2.0, 5.0, 20.0], "w": [10, 40], "s": [5, 40], "D": [0]},
     }

@@ -20,8 +20,8 @@ from .distributions import FiniteDistribution, MixedRadix, ProductStateSpace, _f
 from .errors import ConfigurationError, DimensionError
 
 STRATEGY_COUNT_GUARD = 2**32
-# Cap on F * |Omega| cells.  A space holds 12 bytes per cell (``actions_of``
-# and ``cell_of``); ``r_table`` and ``curvature_rows`` add 8-16 while they run.
+# Cap on F * |Omega| cells.  A space holds 8 bytes per cell (``cell_of``);
+# ``r_table`` and ``curvature_rows`` add 8-16 while they run.
 ACTION_MATRIX_GUARD = 2**27
 
 
@@ -124,10 +124,11 @@ def cover_rows(table: np.ndarray) -> np.ndarray:
 class StrategySpace:
     """Full enumeration of pure strategies.
 
-    ``actions_of`` holds the (F, |Omega|) joint-action matrix and ``cell_of``
-    the matching flat (action, state) index, so the realized cost of strategy
-    m in state omega is ``cost.tables[k].ravel()[cell_of[m, omega]]`` and
-    strategy averages reduce to matrix-vector products over ``cost_row(k)``.
+    ``cell_of`` holds the flat (joint action, joint state) index of each
+    (strategy, state), so the realized cost of strategy m in state omega is
+    ``cost.tables[k].ravel()[cell_of[m, omega]]``, its joint action is
+    ``cell_of[m, omega] // |Omega|``, and strategy averages reduce to
+    matrix-vector products over ``cost_row(k)``.
     """
 
     def __init__(
@@ -150,11 +151,11 @@ class StrategySpace:
             raise ConfigurationError(
                 "dense strategy enumeration too large; reduce F or |Omega|"
             )
-        self.actions_of, self.cell_of = self._build_indices()
+        self.cell_of = self._build_index()
 
-    def _build_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """``actions_of`` (int32) and ``cell_of`` (intp), both in C order, so
-        a cost row gathered through ``cell_of`` is C-contiguous too."""
+    def _build_index(self) -> np.ndarray:
+        """``cell_of`` (intp) in C order, so a cost row gathered through it is
+        C-contiguous too."""
         # digits[m, o_i + s]: the action of user i in local state s, where
         # o_i is the number of local states of the users before i
         digits = np.stack(self.codec.component_arrays()[::-1], axis=1)
@@ -167,12 +168,10 @@ class StrategySpace:
             shape = (self.F,) + (1,) * i + (c,) + (1,) * (len(counts) - 1 - i)
             cells += (digits[:, o : o + c] * mult).reshape(shape)
         cells = cells.reshape(self.F, -1)
-        actions_of = cells.astype(np.int32)
         cells *= self.states.total
         cells += np.arange(self.states.total)
-        for a in (actions_of, cells):
-            a.setflags(write=False)
-        return actions_of, cells
+        cells.setflags(write=False)
+        return cells
 
     def cost_row(self, k: int) -> np.ndarray:
         """(F, |Omega|) realized p_k of each strategy in each state, gathered

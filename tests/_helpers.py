@@ -1,17 +1,18 @@
 """Shared fixtures: small distributions and schedules, the 3-sensor
-benchmark's strategy space, and an independently built copy of that
-benchmark.
+benchmark's objects as the CLI loads them, and an independently built copy
+of that benchmark.
 
 The copy is built by direct per-entry loops so package-side vectorized
 builders can be checked against it.
 """
 
+from functools import cache
+
 import numpy as np
 
-from driftlab import FiniteDistribution, PiecewiseSchedule, StrategySpace
+from driftlab import FiniteDistribution, PiecewiseSchedule, StrategySpace, config_from_dict
 from driftlab.distributions import ProductStateSpace
 from driftlab.guarantees import divergence_window_series, log_ratio_prefix
-from driftlab.presets import sensor3_model
 from driftlab.strategies import ActionModel, CostModel
 
 
@@ -33,9 +34,19 @@ def stationary(dist: FiniteDistribution) -> PiecewiseSchedule:
     return PiecewiseSchedule(limit=dist, segments=((0, dist),))
 
 
+@cache
+def sensor3_config():
+    """``{"preset": "sensor3"}`` loaded once; its objects are read-only."""
+    return config_from_dict({"preset": "sensor3"})
+
+
 def sensor3_space() -> StrategySpace:
-    actions, states, cost = sensor3_model()
-    return StrategySpace(actions, states, cost)
+    return sensor3_config().space
+
+
+def sensor3_covering_and_schedule():
+    cfg = sensor3_config()
+    return cfg.covering, cfg.schedule
 
 
 def sensor_tables():

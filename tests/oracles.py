@@ -129,16 +129,21 @@ def apply_strategy(
     return actions.encode([s.tables[i][w] for i, w in enumerate(comps)])
 
 
+def actions_of(space: StrategySpace) -> np.ndarray:
+    """(F, |Omega|) joint action of each strategy in each joint state."""
+    return space.cell_of // space.states.total
+
+
 def realized_cube(space: StrategySpace) -> np.ndarray:
     """(K+1, F, |Omega|) realized costs p_k(a(m, omega), omega), looked up
     strategy by strategy through ``actions_of``."""
-    return space.cost.tables[:, space.actions_of, np.arange(space.states.total)]
+    return space.cost.tables[:, actions_of(space), np.arange(space.states.total)]
 
 
 def r_vector(space: StrategySpace, m: int, lam: FiniteDistribution) -> np.ndarray:
     """Average cost/penalty vector of strategy m under distribution lam."""
     space._check_dist(lam)
-    return space.cost.tables[:, space.actions_of[m], np.arange(space.states.total)] @ lam.probs
+    return space.cost.tables[:, actions_of(space)[m], np.arange(space.states.total)] @ lam.probs
 
 
 def b_value(space: StrategySpace, pi: FiniteDistribution) -> float:

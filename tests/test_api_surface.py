@@ -12,6 +12,11 @@ do not count, nor attributes of a module the package imports from outside
 Python calls implicitly.  Attributes are matched by name alone, so a method
 that shares its name with an attribute used elsewhere passes unseen.
 
+Every dataclass field and every ``self.<name> = ...`` of a class in the
+package must be read as ``.<name>`` somewhere in the package, or sit on
+``KEEP`` with a reason: a field that only tests read is stored for them.
+Reads are matched by name alone, like references.
+
 Every name a module but ``__init__.py`` imports must be used in that module.
 """
 
@@ -28,6 +33,10 @@ KEEP = {
     "SimConfig.w_at": "bench/workloads.py calls it; it returns window, the same at every slot",
     "MixedRadix.encode": "public API: README's encode(decode(m)) == m",
     "MixedRadix.decode": "public API: README's encode(decode(m)) == m",
+    "Beta1Estimate.skipped": "bench/workloads.py reads it",
+    "KappaEstimate.included_cells": "bench/workloads.py reads it",
+    "KappaEstimate.excluded_cells": "bench/workloads.py reads it",
+    "SimplexResult.basis": "TestBlandPivots pins Bland's pivots through it",
 }
 
 
@@ -40,6 +49,22 @@ def _definitions(tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     yield f"{node.name}.{item.name}", item.name, item
+
+
+def _attributes(tree):
+    """(qualified name, bare name) of each dataclass field and each attribute
+    a method assigns on ``self``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield f"{node.name}.{item.target.id}", item.target.id
+            elif isinstance(item, ast.FunctionDef):
+                for sub in ast.walk(item):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        yield f"{node.name}.{sub.attr}", sub.attr
 
 
 def _external_modules(tree):
@@ -89,17 +114,27 @@ def test_every_definition_is_used_exported_or_kept():
     assert unreferenced() == []
 
 
+def unread():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    reads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted({qualified for tree in trees for qualified, name in _attributes(tree)
+                   if name not in reads and qualified not in KEEP})
+
+
+def test_every_field_and_attribute_is_read_or_kept():
+    assert unread() == []
+
+
 def test_every_export_imports():
     missing = [name for name in driftlab.__all__ if not hasattr(driftlab, name)]
     assert missing == []
 
 
 def test_every_kept_name_is_defined():
-    defined = {
-        qualified
-        for path in SRC.glob("*.py")
-        for qualified, _, _ in _definitions(ast.parse(path.read_text()))
-    }
+    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    defined = {qualified for tree in trees for qualified, *_ in _definitions(tree)}
+    defined |= {qualified for tree in trees for qualified, _ in _attributes(tree)}
     assert sorted(set(KEEP) - defined) == []
 
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from driftlab import cli, simulate
+from _helpers import sensor3_config, sensor_limit, sensor_tables
+from driftlab import cli, config, simulate
 from driftlab.cli import blocking_constants, fmt, main, read_traces
 from driftlab.config import (
     DEFAULTS, NUMBER_RULES, SWEEP_RULES, TOP_KEYS, ConfigError, config_from_dict, dump_preset,
@@ -20,7 +21,7 @@ from driftlab.config import (
 )
 from driftlab.errors import DriftlabError
 from driftlab.guarantees import LOG3
-from driftlab.presets import sensor3_covering_and_schedule, sensor3_document, sensor3_model
+from driftlab.presets import sensor3_document
 from driftlab.simulate import SimConfig, run_ensemble
 
 
@@ -333,6 +334,19 @@ class TestCli:
         monkeypatch.setattr(cli, "run_ensemble", out_of_memory)
         assert main(["simulate", "--out", str(tmp_path / "o"), "--horizon", "5"]) == 4
         assert "out of memory: Unable to allocate 29.1 TiB" in capsys.readouterr().err
+
+    def test_out_of_memory_in_the_space_build_is_not_a_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # running out of memory is not a config problem: exit 4, not 2
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB")
+
+        monkeypatch.setattr(config, "StrategySpace", out_of_memory)
+        assert main(["lp", "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 2.00 GiB\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sweep, field", [
         ({"V": ["x"]}, "sweep.V[0]"),
@@ -708,21 +722,14 @@ class TestPresetOverrides:
                        "--horizon", "80"]) for stage in PIPELINE]
         return codes, out
 
-    def test_preset_objects_are_the_builders(self):
-        cfg = config_from_dict({"preset": "sensor3"})
-        actions, states, cost = sensor3_model()
-        covering, schedule = sensor3_covering_and_schedule(states)
+    def test_preset_equals_the_loop_built_copy(self):
+        cfg = sensor3_config()
+        actions, states, cost = sensor_tables()
         assert cfg.space.actions.counts == actions.counts
         assert cfg.space.states.counts == states.counts
         assert np.array_equal(cfg.space.cost.tables, cost.tables)
         assert np.array_equal(cfg.space.cost.c, cost.c)
-        assert np.array_equal(cfg.covering.prob_matrix, covering.prob_matrix)
-        for name in ("delta", "alpha_delta", "beta_delta"):
-            assert getattr(cfg.covering, name) == getattr(covering, name), name
-        for name in ("limit", "start"):
-            assert np.array_equal(getattr(cfg.schedule, name).probs,
-                                  getattr(schedule, name).probs), name
-        assert cfg.schedule.rho == schedule.rho
+        assert np.array_equal(cfg.schedule.limit.probs, sensor_limit().probs)
 
     def test_action_space_alone_names_cost(self, tmp_path, capsys):
         codes, out = self.run_stages(tmp_path, {"action_space": [3, 3, 3]})

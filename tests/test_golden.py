@@ -15,11 +15,10 @@ import os
 import numpy as np
 import pytest
 
-from _helpers import sensor3_space
+from _helpers import sensor3_covering_and_schedule, sensor3_space
 from driftlab import simulate
 from driftlab.cli import main
 from driftlab.distributions import PiecewiseSchedule
-from driftlab.presets import sensor3_covering_and_schedule
 from driftlab.simulate import RUN_BLOCK, SimConfig, run_ensemble
 
 BLOCK_CROSSING_RUNS = 18
@@ -28,7 +27,7 @@ BLOCK_CROSSING_PASS_ROWS = 16  # in-process, 18 runs at D = 0 make two blocks
 
 def _sensor3(**kw) -> SimConfig:
     space = sensor3_space()
-    cov, sch = sensor3_covering_and_schedule(space.states)
+    cov, sch = sensor3_covering_and_schedule()
     values = dict(space=space, schedule=sch, covering=cov, V=20.0, D=0,
                   window=40, horizon=120, seed=1)
     values.update(kw)

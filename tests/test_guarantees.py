@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_bounds as ref
-from _helpers import divergence_series, sensor3_space, sensor_limit, stationary
+from _helpers import (
+    divergence_series, sensor3_covering_and_schedule, sensor3_space, sensor_limit, stationary,
+)
 from driftlab import (
     ConfigurationError,
     DomainError,
@@ -29,7 +31,6 @@ from driftlab.guarantees import (
     theta,
     threshold_check,
 )
-from driftlab.presets import sensor3_covering_and_schedule
 from oracles import divergence, mcdiarmid_tail, pe_upper, schedule_at
 
 
@@ -105,7 +106,7 @@ class TestSTDelta:
 
     def test_interval_bound_dominates_slot_sum(self):
         space = sensor3_space()
-        cov, sch = sensor3_covering_and_schedule(space.states)
+        cov, sch = sensor3_covering_and_schedule()
         t, alpha, w = 400, 100, 40
         div = divergence_series(sch, cov, 0, 0, w, t)
         pe = pe_sequence(0, w, cov.zeta, div, cov.size)
@@ -144,7 +145,7 @@ class TestPeSequence:
     @pytest.mark.parametrize("w", [40, 10], ids=["fixed", "narrow"])  # fixed: the preset's w = 40
     def test_sensor3_series_within_one_ulp(self, mode, D, w):
         space = sensor3_space()
-        cov, sch = sensor3_covering_and_schedule(space.states)
+        cov, sch = sensor3_covering_and_schedule()
         div = divergence_series(sch, cov, 0, D, w, 600)
         pe = self.check(D, w, cov.zeta, div, cov.size, mode)
         assert (pe[np.isfinite(div)] != 1.0 / cov.size).all()
@@ -178,14 +179,14 @@ class TestPeSequence:
 class TestDivergenceSeries:
     def test_benchmark_values_and_warmup_nan(self):
         space = sensor3_space()
-        cov, sch = sensor3_covering_and_schedule(space.states)
+        cov, sch = sensor3_covering_and_schedule()
         div = divergence_series(sch, cov, 0, 0, 40, 200)
         assert np.all(np.isnan(div[:40]))
         assert np.all(div[40:] > 0)
 
     def test_matches_manual_window_average(self):
         space = sensor3_space()
-        cov, sch = sensor3_covering_and_schedule(space.states)
+        cov, sch = sensor3_covering_and_schedule()
         tau, w, D = 120, 40, 0
         div = divergence_series(sch, cov, 0, D, w, 200)
         per_j = []
@@ -200,7 +201,7 @@ class TestDivergenceSeries:
     @pytest.mark.parametrize("w", [40, 66], ids=["fixed", "wide"])  # fixed: the preset's w = 40
     def test_equals_per_slot_loop(self, D, w):
         space = sensor3_space()
-        cov, sch = sensor3_covering_and_schedule(space.states)
+        cov, sch = sensor3_covering_and_schedule()
         T, istar = 300, 1
         div = divergence_series(sch, cov, istar, D, w, T)
         logm = cov.log_matrix
@@ -228,7 +229,7 @@ class TestJbarHt:
 
     def test_geometric_drift_sum_closed_form(self):
         space = sensor3_space()
-        cov, _ = sensor3_covering_and_schedule(space.states)
+        cov, _ = sensor3_covering_and_schedule()
         start, limit = cov.members[1], cov.members[0]
         rho = 0.9
         sch = GeometricSchedule(limit=limit, start=start, rho=rho)

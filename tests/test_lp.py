@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import driftlab.lp
-from _helpers import sensor_limit, sensor_tables, uniform
+from _helpers import sensor3_config, sensor_limit, sensor_tables, uniform
 from driftlab import CoveringSet, DomainError, FiniteDistribution, cli, simplex
 from driftlab.config import config_from_dict
 from driftlab.lp import (
@@ -212,7 +212,7 @@ def dominated_instances(draw):
 
 class TestCandidateInstance:
     def test_every_sensor3_member(self):
-        cfg = config_from_dict({"preset": "sensor3"})
+        cfg = sensor3_config()
         for member in cfg.covering.members:
             ids = assert_same_optimum(instance_for(cfg.space, member))
             assert ids.size < cfg.space.F / 4

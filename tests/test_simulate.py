@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import point_mass, same_bits, sensor3_space, sensor_limit, stationary, uniform
+from _helpers import (
+    point_mass, same_bits, sensor3_covering_and_schedule, sensor3_space, sensor_limit, stationary,
+    uniform,
+)
 from driftlab import simulate
 from driftlab import ConfigurationError, CoveringSet, FiniteDistribution
 from driftlab.errors import DimensionError, DriftlabError, EstimationError
 from driftlab.distributions import PiecewiseSchedule, ProductStateSpace
-from driftlab.presets import sensor3_covering_and_schedule
 from driftlab.simulate import (
     RUN_BLOCK,
     SimConfig,
@@ -31,13 +33,13 @@ from driftlab.simulate import (
     warmup_detect,
 )
 from driftlab.strategies import ActionModel, CostModel, StrategySpace
-from oracles import b_value, decode_strategy, lyapunov_drift, realized_cube
+from oracles import actions_of, b_value, decode_strategy, lyapunov_drift, realized_cube
 
 
 @pytest.fixture(scope="module")
 def sensor_cfg():
     space = sensor3_space()
-    cov, sch = sensor3_covering_and_schedule(space.states)
+    cov, sch = sensor3_covering_and_schedule()
     return SimConfig(
         space=space, schedule=sch, covering=cov,
         V=20.0, D=0, window=40, horizon=60, seed=1,
@@ -258,7 +260,7 @@ class TestSelectionCandidates:
 
     def test_sensor3_counts_pinned(self):
         space = sensor3_space()
-        cov, _ = sensor3_covering_and_schedule(space.states)
+        cov, _ = sensor3_covering_and_schedule()
         tables = [space.r_table(member) for member in cov.members]
         cands = [selection_candidates(rt) for rt in tables]
         assert [c.size for c in cands] == [442, 481, 509, 504, 504, 505, 512, 491]
@@ -266,7 +268,7 @@ class TestSelectionCandidates:
 
     def test_pruned_once_per_config(self):
         space = sensor3_space()
-        cov, sch = sensor3_covering_and_schedule(space.states)
+        cov, sch = sensor3_covering_and_schedule()
         cfg = SimConfig(space=space, schedule=sch, covering=cov, V=20.0, D=0,
                         window=40, horizon=50, seed=1)
         calls = []
@@ -367,20 +369,22 @@ class TestRun:
     def test_realized_costs_match_tables(self, sensor_cfg):
         tr = run(sensor_cfg)
         space = sensor_cfg.space
+        actions = actions_of(space)
         for t in range(tr.horizon):
-            a = space.actions_of[int(tr.m[t]), int(tr.omega[t])]
+            a = actions[int(tr.m[t]), int(tr.omega[t])]
             assert np.array_equal(tr.p[t], space.cost.tables[:, a, int(tr.omega[t])])
 
     def test_distributed_decisions(self, sensor_cfg):
         # each user's action must be recoverable from (own state, strategy index)
         tr = run(sensor_cfg)
         space = sensor_cfg.space
+        actions = actions_of(space)
         for t in range(0, tr.horizon, 7):
             s = decode_strategy(int(tr.m[t]), space.actions, space.states)
             comps = space.states.decode(int(tr.omega[t]))
             per_user = [s.tables[i][comps[i]] for i in range(3)]
             joint = space.actions.encode(per_user)
-            assert joint == space.actions_of[int(tr.m[t]), int(tr.omega[t])]
+            assert joint == actions[int(tr.m[t]), int(tr.omega[t])]
 
     def test_validation_runs_before_slot_zero(self, sensor_cfg):
         bad = SimConfig(
@@ -561,7 +565,7 @@ class TestEnsemble:
 @pytest.fixture(scope="module")
 def worker_cfg():
     space = sensor3_space()
-    cov, sch = sensor3_covering_and_schedule(space.states)
+    cov, sch = sensor3_covering_and_schedule()
     return SimConfig(
         space=space, schedule=sch, covering=cov,
         V=20.0, D=1, window=10, horizon=80, seed=3,

@@ -6,17 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import point_mass, same_bits, sensor3_space, sensor_tables, stationary, uniform
+from _helpers import (
+    point_mass, same_bits, sensor3_covering_and_schedule, sensor3_space, sensor_tables, stationary,
+    uniform,
+)
 from driftlab import ConfigurationError, CoveringSet, DimensionError, DomainError, FiniteDistribution
 from driftlab import simulate
 from driftlab.config import config_from_dict
 from driftlab.distributions import ProductStateSpace
-from driftlab.presets import sensor3_covering_and_schedule
 from driftlab.simulate import SimConfig
 from driftlab.strategies import ActionModel, CostModel, StrategySpace, cover_rows
 from oracles import (
-    PureStrategy, apply_strategy, b_value, decode_strategy, encode_strategy, r_vector,
-    realized_cube, strategy_count,
+    PureStrategy, actions_of, apply_strategy, b_value, decode_strategy, encode_strategy,
+    r_vector, realized_cube, strategy_count,
 )
 
 
@@ -95,7 +97,7 @@ class TestApply:
             s = decode_strategy(m, actions, states)
             comps = states.decode(w)
             naive = actions.encode([s.tables[i][comps[i]] for i in range(2)])
-            assert space.actions_of[m, w] == naive
+            assert actions_of(space)[m, w] == naive
             assert apply_strategy(s, w, actions, states) == naive
 
     @pytest.mark.parametrize("a_counts, w_counts", [((2, 3), (3, 2)), ((3, 1, 2), (2, 3, 1))])
@@ -103,10 +105,11 @@ class TestApply:
         actions, states = ActionModel(a_counts), ProductStateSpace(w_counts)
         space = StrategySpace(actions, states, CostModel(
             tables=np.zeros((1, actions.total, states.total)), c=np.zeros(0)))
+        matrix = actions_of(space)
         for m in range(space.F):
             s = decode_strategy(m, actions, states)
             row = [apply_strategy(s, w, actions, states) for w in range(states.total)]
-            assert space.actions_of[m].tolist() == row
+            assert matrix[m].tolist() == row
 
 
 class TestCostModel:
@@ -132,7 +135,7 @@ class TestRVector:
             m = int(rng.integers(space.F))
             w = int(rng.integers(states.total))
             lam = point_mass(states.total, w)
-            a = space.actions_of[m, w]
+            a = actions_of(space)[m, w]
             expect = cost.tables[:, a, w]
             assert np.allclose(r_vector(space, m, lam), expect, atol=1e-15)
 
@@ -202,7 +205,7 @@ class TestRVector:
         rng = np.random.default_rng(4)
         if case == "sensor3":
             space = sensor3_space()
-            covering, schedule = sensor3_covering_and_schedule(space.states)
+            covering, schedule = sensor3_covering_and_schedule()
         else:
             actions, states = ActionModel((2, 3)), ProductStateSpace((2, 1))
             K = 2 if case == "random-small" else 0
