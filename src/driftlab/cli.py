@@ -42,7 +42,7 @@ from .guarantees import (
     theta,
     threshold_check,
 )
-from .lp import candidate_instance, gap_delta, instance_for, lipschitz_probe, solve_lp
+from .lp import gap_delta, instance_for, lipschitz_probe, solve_lp
 from .simulate import EnsembleResult, RunTrace, merge_runs, run_ensemble
 
 THETA_EPS = 1e-12
@@ -210,16 +210,15 @@ def cmd_lp(cfg: ExperimentConfig) -> int:
 def _bound_context(cfg: ExperimentConfig) -> dict:
     """The bound inputs that do not depend on the window or the delay.
 
-    One LP solve on the candidate columns of ``istar``, the nearest member
-    (``candidate_instance``), gives ``p_opt`` and ``c_hat``, the sum of its
-    slack duals (``lipschitz_probe``); one schedule weights matrix feeds the
+    One solve of the full F-column LP under ``istar``, the nearest member,
+    gives ``p_opt`` and ``c_hat``, the sum of its slack duals
+    (``lipschitz_probe``); one schedule weights matrix feeds the
     non-stationarity series and the log-ratio prefix sums that every
     ``(w, D)`` context differences.  Its arrays are read-only.
     """
-    inst, _ = candidate_instance(instance_for(cfg.space, cfg.covering.members[cfg.istar]))
     gap = gap_delta(cfg.schedule.limit, cfg.covering, cfg.space.cost, cfg.nu)
-    try:
-        c_hat, p_opt = lipschitz_probe(inst)
+    try:  # the (K+1, F) LP is dropped before the schedule arrays are built
+        c_hat, p_opt = lipschitz_probe(instance_for(cfg.space, cfg.covering.members[cfg.istar]))
     except DomainError as exc:
         raise DriftlabError(
             f"the LP under covering member {cfg.istar} (nearest to the schedule "
@@ -396,12 +395,16 @@ def _estimates(cfg: ExperimentConfig, ens: EnsembleResult):
 def _empirics_rows(cfg: ExperimentConfig, ens: EnsembleResult):
     cost = cfg.space.cost
     K = cost.n_penalties
-    lp_value = solve_lp(instance_for(cfg.space, cfg.schedule.limit)).value
-    gap = gap_report(ens, lp_value, cost)
+    sol = solve_lp(instance_for(cfg.space, cfg.schedule.limit))
+    gap = gap_report(ens, sol.value, cost)
+    if sol.status == "optimal":
+        lp_cells, gap_cells = [sol.value, ""], [gap.cost_gap, gap.cost_gap_ci]
+    else:  # no optimum: the value cells stay empty, the note names the status
+        lp_cells = gap_cells = ["", f"lp {sol.status}"]
     rows = [
-        ["lp_value", "", "", lp_value, "", ens.run_count],
+        ["lp_value", "", ""] + lp_cells + [ens.run_count],
         ["final_mean_p0", 0, "", gap.mean_final[0], gap.cost_gap_ci, ens.run_count],
-        ["cost_gap", 0, "", gap.cost_gap, gap.cost_gap_ci, ens.run_count],
+        ["cost_gap", 0, ""] + gap_cells + [ens.run_count],
     ]
     for k in range(1, K + 1):
         rows.append(
@@ -424,13 +427,13 @@ def _empirics_rows(cfg: ExperimentConfig, ens: EnsembleResult):
             else [f"beta1_k{k}", k, s, est.value, est.ci_half,
                   min(a.surviving for a in est.anchors)]
         )
-    return rows, kap, gap, lp_value
+    return rows, kap, gap, sol
 
 
 def cmd_empirics(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     ens = read_traces(cfg)
-    rows, kap, gap, lp_value = _empirics_rows(cfg, ens)
+    rows, kap, gap, sol = _empirics_rows(cfg, ens)
     write_csv(
         out / "empirics.csv", cfg.mode,
         ["quantity", "k", "s", "value", "ci_or_note", "n"], rows,
@@ -439,8 +442,11 @@ def cmd_empirics(cfg: ExperimentConfig) -> int:
     _write_lines(out / "error_rates.csv", cfg.mode, ["t", "rate", "ci_half"],
                  _numeric_lines(0, [rates.per_slot, rates.ci_half()]))
     print(f"runs: {ens.run_count}, horizon: {cfg.horizon}")
-    print(f"lp optimum (cost): {fmt(lp_value)}")
-    print(f"final mean cost:   {fmt(gap.mean_final[0])} (gap {fmt(gap.cost_gap)})")
+    optimal = sol.status == "optimal"
+    lp_text = fmt(sol.value) if optimal else f"no optimum (status {sol.status})"
+    print(f"lp optimum (cost): {lp_text}")
+    print(f"final mean cost:   {fmt(gap.mean_final[0])} "
+          f"(gap {fmt(gap.cost_gap) if optimal else 'undefined'})")
     for k in range(1, cfg.space.cost.n_penalties + 1):
         print(
             f"final mean p{k}:     {fmt(gap.mean_final[k])} "
@@ -460,8 +466,8 @@ def cmd_empirics(cfg: ExperimentConfig) -> int:
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
+    ctx = _bound_context(cfg)  # a bound precondition fails before any trace is parsed
     ens = read_traces(cfg)
-    ctx = _bound_context(cfg)
     _, pe = _detection_series(cfg, ctx)
     cost = cfg.space.cost
     K = cost.n_penalties

@@ -13,6 +13,7 @@ import difflib
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Any
 
@@ -83,6 +84,15 @@ class ExperimentConfig(SimConfig):
     w_sweep: tuple[int, ...]
     s_sweep: tuple[int, ...]
     d_sweep: tuple[int, ...]
+
+    def validate(self) -> None:
+        super().validate()
+        K = self.space.cost.n_penalties
+        rows = np.iinfo(np.intp).max // (8 * (K + 1))  # merge_runs holds (runs, K+1) float64
+        if self.runs > rows:
+            raise ConfigurationError(
+                f"runs must be <= {rows} for {K} penalties, got {Decimal(self.runs):.3g}"
+            )
 
     def sim(self) -> SimConfig:
         """This config; kept because ``bench/workloads.py`` calls it."""
@@ -324,6 +334,8 @@ def read_config(path: str | Path) -> dict:
         raise ConfigError(
             [f"{p}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except ValueError as exc:  # an integer with more digits than int() takes
+        raise ConfigError([f"{p}: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([f"{p}: document root must be an object"])
     return doc

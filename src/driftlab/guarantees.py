@@ -63,8 +63,12 @@ def log_ratio_prefix(weights: np.ndarray, covering: CoveringSet, istar: int) -> 
     against member ``istar`` under the (T, |Omega|) schedule ``weights``;
     row 0 is zero."""
     logm = covering.log_matrix
-    if not np.all(np.isfinite(logm)):
-        raise DomainError("divergence series needs strictly positive members")
+    zero = np.argwhere(~np.isfinite(logm))
+    if zero.size:
+        raise DomainError(
+            f"divergence series needs strictly positive members: member "
+            f"{zero[0, 0]} has zero mass on outcome {zero[0, 1]}"
+        )
     per_slot = weights @ (logm - logm[istar]).T  # (T, M)
     return np.vstack([np.zeros((1, per_slot.shape[1])), np.cumsum(per_slot, axis=0)])
 

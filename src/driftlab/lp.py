@@ -14,7 +14,6 @@ import numpy as np
 from . import simplex
 from .distributions import CoveringSet, FiniteDistribution, nearest_member
 from .errors import ConfigurationError, DimensionError, DomainError
-from .simulate import selection_candidates
 from .strategies import CostModel, StrategySpace
 
 SOLUTION_TOL = 1e-9
@@ -76,19 +75,6 @@ class LpSolution:
 def instance_for(space: StrategySpace, member: FiniteDistribution, x: float = 0.0) -> LpInstance:
     """Build the mixture LP under a candidate state distribution."""
     return LpInstance(r=space.r_table(member), c=space.cost.c, x=x)
-
-
-def candidate_instance(inst: LpInstance) -> tuple[LpInstance, np.ndarray]:
-    """``inst`` on its ``selection_candidates`` columns, and their ascending ids.
-
-    Each dropped column is weakly dominated in every row, objective and
-    constraints alike, by a kept one.  Moving a mixture's weight from it onto
-    that column keeps every constraint at every x and does not raise the
-    objective, so the optimum value is the full table's, and a solution maps
-    back by ``theta_full[ids] = theta``.
-    """
-    ids = selection_candidates(inst.r)
-    return LpInstance(r=inst.r[:, ids], c=inst.c, x=inst.x), ids
 
 
 def solve_lp(inst: LpInstance) -> LpSolution:

@@ -38,6 +38,7 @@ import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -112,8 +113,11 @@ class SimConfig:
         if self.covering.n_outcomes != n:
             problems.append("covering members do not match the state space")
         longest = np.iinfo(np.intp).max // (8 * n)  # rows numpy can give (T, n) float64
-        if not problems and self.horizon > longest:
-            problems.append(f"horizon must be <= {longest} for {n} states, got {self.horizon:.3g}")
+        for name in ("horizon", "D"):  # a delay past the longest horizon means nothing
+            value = getattr(self, name)
+            if not problems and value > longest:  # Decimal formats ints past float range
+                problems.append(f"{name} must be <= {longest} for {n} states, "
+                                f"got {Decimal(value):.3g}")
         uncovered = ~(self.covering.prob_matrix > 0).any(axis=0)
         if not problems and uncovered.any():
             weights = self.schedule.weights_matrix(self.horizon)[:, uncovered]

@@ -157,3 +157,35 @@ def test_no_unused_imports():
         unused += [f"{path.name}: {name}" for name in _imported_names(tree)
                    if name not in used]
     assert unused == []
+
+
+# the model layer: what the simulator, the estimators, the config and the CLI
+# are built on, and so may import none of them
+MODEL_MODULES = ("errors", "distributions", "strategies", "simplex", "lp", "guarantees",
+                 "presets")
+STAGE_MODULES = {"simulate", "estimators", "config", "cli"}
+
+
+def _package_imports(tree):
+    """The ``driftlab`` modules ``tree`` imports, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:  # absolute: only driftlab.<module> counts
+                if parts[0] != "driftlab":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                yield parts[0]
+            else:  # from . import x, from driftlab import x
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("driftlab."))
+
+
+def test_model_modules_import_no_stage_module():
+    found = [f"{name}.py imports {module}" for name in MODEL_MODULES
+             for module in _package_imports(ast.parse((SRC / f"{name}.py").read_text()))
+             if module in STAGE_MODULES]
+    assert found == []

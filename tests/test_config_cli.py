@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -116,6 +117,17 @@ class TestConfig:
         p.write_text('{\n  "preset": "sensor3",\n  broken\n}')
         with pytest.raises(ConfigError, match="line 3"):
             config_from_dict(read_config(p))
+
+    @pytest.mark.parametrize("digits, message", [
+        (400, "horizon must be <= 18014398509481983 for 64 states, got 1.00e+400"),
+        (5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+    ])
+    def test_huge_integer_exit_code(self, tmp_path, capsys, digits, message):
+        # beyond the float range, and beyond the digits int() converts
+        p = tmp_path / "big.json"
+        p.write_text('{"preset": "sensor3", "horizon": 1' + "0" * digits + "}")
+        assert main(["lp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -505,6 +517,43 @@ class TestCli:
         assert "covering member 0 (nearest to the schedule limit)" in err
         assert "no feasible mixture at levels c + x" in err and "x=0.0" in err
 
+    def test_zero_mass_member_fails_the_bound_stages_by_name(self, tmp_path, capsys):
+        # member 1 has no mass on outcome 1: the divergence series takes its log
+        doc = {
+            "state_space": [2], "action_space": [2],
+            "cost": {"tables": [[[-1, 0], [0, -1]], [[0, 1], [1, 0]]],
+                     "constraints": [0.6]},
+            "covering": {"members": [[0.5, 0.5], [1.0, 0.0]], "delta": 1.0,
+                         "alpha_delta": 1.5, "beta_delta": 0.01},
+            "schedule": {"kind": "piecewise", "limit": [0.5, 0.5],
+                         "segments": [[0, [0.5, 0.5]]]},
+            "window": 5, "runs": 2, "horizon": 60, "out_dir": str(tmp_path / "o"),
+        }
+        p = write_doc(tmp_path, doc)
+        # compare fails before it looks for a trace
+        assert main(["compare", "--config", str(p)]) == 4
+        assert capsys.readouterr().err.count("member 1 has zero mass on outcome 1") == 1
+        codes = [main([stage, "--config", str(p)]) for stage in PIPELINE]
+        assert codes == [0, 0, 4, 0, 4]
+        err = capsys.readouterr().err
+        assert err.count("strictly positive members: member 1 has zero mass on outcome 1") == 2
+
+    def test_empirics_without_an_lp_optimum_leaves_the_values_empty(self, tmp_path, capsys):
+        doc = dump_preset()
+        doc["cost"]["constraints"] = [-1, -1, -1]
+        p = write_doc(tmp_path, doc)
+        argv = ["--config", str(p), "--out", str(tmp_path / "o"), "--runs", "2",
+                "--horizon", "200"]
+        assert main(["simulate"] + argv) == 0
+        assert main(["empirics"] + argv) == 0
+        assert "lp optimum (cost): no optimum (status infeasible)" in (
+            capsys.readouterr().out)
+        rows = (tmp_path / "o" / "empirics.csv").read_text().splitlines()[2:]
+        by_name = {row.split(",")[0]: row.split(",")[3:] for row in rows}
+        assert by_name["lp_value"] == ["", "lp infeasible", "2"]
+        assert by_name["cost_gap"] == ["", "lp infeasible", "2"]
+        assert not any("inf" in row.split(",")[3] for row in rows)
+
     def test_bench_sweep_bounds_match_reference(self, tmp_path):
         # the sweep of the sensor3-bound-sweep benchmark; its reference file
         # pins bounds.csv byte for byte
@@ -809,3 +858,68 @@ def test_delay_edges_exit_cleanly(delay, window, horizon, runs):
             assert "Traceback" not in err.getvalue(), stage
             if stage == "bounds":
                 assert rc == 0 or "is shorter than the" in err.getvalue(), err.getvalue()
+
+
+# the sensor3 document at 2 runs x 60 slots, and the values the fuzz puts in it
+FUZZ_BASE = {**dump_preset(), "runs": 2, "horizon": 60}
+FUZZ_VALUES = (None, 0, -1, 1.5, "x", [], {}, float("nan"), 1e308, True)
+# what a stage may fail on once simulate ran: the horizon minimum, V = 0 in
+# bounds, a zero-mass covering member and an LP with no optimum
+PRECONDITIONS = ("is shorter than the", "V must be > 0 in the bound stack",
+                 "needs strictly positive members", "no optimum")
+_ROW = FUZZ_BASE["covering"]["members"][1]
+
+
+@st.composite
+def replacements(draw):
+    """(path, value): a path into ``FUZZ_BASE`` up to a drawn depth, and a
+    malformed value to put there."""
+    node, path = FUZZ_BASE, []
+    for _ in range(draw(st.integers(1, 5))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        path.append(key)
+        node = node[key]
+    return tuple(path), draw(st.sampled_from(FUZZ_VALUES))
+
+
+@given(st.lists(replacements(), min_size=1, max_size=2))
+# member 1 moves its mass on outcome 1 onto outcome 0
+@example([(("covering", "members", 1, 0), _ROW[0] + _ROW[1]),
+          (("covering", "members", 1, 1), 0.0)])
+@example([(("cost", "constraints"), [-1.0, -1.0, -1.0])])
+@example([(("V",), 0), (("sweep", "V"), [])])
+# both loaded once, then raised past the CLI's handlers
+@example([(("delay",), 1e308)])
+@example([(("runs",), 1e308)])
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_malformed_documents_exit_cleanly(changes):
+    """The sensor3 document with one or two values replaced: it loads or is
+    refused with a ``ConfigError``; every stage exits 0, 2, 3 or 4 with a
+    message on stderr for a non-zero exit; and once ``simulate`` succeeded,
+    a stage fails only on a documented precondition."""
+    doc = copy.deepcopy(FUZZ_BASE)
+    for path, value in changes:
+        # a path that the other change cut is skipped
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+    with contextlib.suppress(ConfigError):
+        config_from_dict(copy.deepcopy(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["--config", str(write_doc(Path(tmp), doc)), "--out", str(Path(tmp) / "o")]
+        simulated = False
+        for stage in PIPELINE:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([stage] + argv)
+            assert rc in (0, 2, 3, 4), (stage, rc)
+            assert rc == 0 or err.getvalue().strip(), (stage, rc)
+            if simulated:
+                assert rc == 0 or any(m in err.getvalue() for m in PRECONDITIONS), (
+                    stage, err.getvalue())
+            simulated = simulated or (stage == "simulate" and rc == 0)

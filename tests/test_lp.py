@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import driftlab.lp
-from _helpers import sensor3_config, sensor_limit, sensor_tables, uniform
+from _helpers import sensor_limit, sensor_tables, uniform
 from driftlab import CoveringSet, DomainError, FiniteDistribution, cli, simplex
 from driftlab.config import config_from_dict
 from driftlab.lp import (
-    SOLUTION_TOL,
     LpInstance,
-    candidate_instance,
     gap_delta,
     g_of_x,
     instance_for,
@@ -176,62 +174,18 @@ class TestLipschitzProbe:
         assert g0 == solve_lp(inst).value
 
 
-def assert_same_optimum(full: LpInstance):
-    """``candidate_instance`` keeps the optimum value, and its solution mapped
-    back to the full columns is feasible there with that objective."""
-    sub, ids = candidate_instance(full)
-    assert ids.size == np.unique(ids).size and sub.x == full.x
-    a, b = solve_lp(full), solve_lp(sub)
-    assert a.status == b.status
-    if a.status != "optimal":
-        return ids
-    assert b.value == pytest.approx(a.value, abs=1e-12)
-    theta = np.zeros(full.n_strategies)
-    theta[ids] = b.theta
-    assert theta.min() >= 0.0 and abs(theta.sum() - 1.0) <= SOLUTION_TOL
-    assert (full.r[1:] @ theta <= full.c + full.x + SOLUTION_TOL).all()
-    assert float(full.r[0] @ theta) == pytest.approx(b.value, abs=1e-12)
-    return ids
-
-
-@st.composite
-def dominated_instances(draw):
-    """(LP, n): small LPs whose columns past the first n are each >= one of
-    the first n, row by row (an offset of 0 gives an exact duplicate)."""
-    k = draw(st.integers(0, 3))
-    n = draw(st.integers(1, 4))
-    base = draw(arrays(np.int64, (k + 1, n), elements=st.integers(-3, 3)))
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                    arrays(np.int64, k + 1, elements=st.integers(0, 2))),
-                          min_size=1, max_size=6))
-    cols = [base] + [base[:, [j]] + off[:, None] for j, off in extra]
-    r = np.hstack(cols).astype(np.float64)
-    c = draw(arrays(np.int64, k, elements=st.integers(-3, 3))).astype(np.float64)
-    return LpInstance(r=r, c=c, x=draw(st.sampled_from([0.0, 0.5, 2.0]))), n
-
-
-class TestCandidateInstance:
-    def test_every_sensor3_member(self):
-        cfg = sensor3_config()
-        for member in cfg.covering.members:
-            ids = assert_same_optimum(instance_for(cfg.space, member))
-            assert ids.size < cfg.space.F / 4
-
-    @given(dominated_instances())
-    @settings(max_examples=300, deadline=None)
-    def test_dominated_columns_dropped(self, case):
-        full, n = case
-        assert (assert_same_optimum(full) < n).all()
-
+class TestBoundContext:
     def test_bound_context_probe_and_optimum(self, monkeypatch):
         cfg = config_from_dict({"preset": "sensor3", "horizon": 200})
         solves = []
         monkeypatch.setattr(
-            driftlab.lp, "solve_lp", lambda inst: solves.append(inst.x) or solve_lp(inst)
+            driftlab.lp, "solve_lp",
+            lambda inst: solves.append((inst.x, inst.n_strategies)) or solve_lp(inst),
         )
         monkeypatch.setattr(cli, "solve_lp", driftlab.lp.solve_lp)
         ctx = cli._bound_context(cfg)
-        assert solves == [0.0]  # one solve gives both c_hat and p_opt
+        # one solve of the full LP gives both c_hat and p_opt
+        assert solves == [(0.0, cfg.space.F)]
         full = instance_for(cfg.space, cfg.covering.members[cfg.istar])
         gap = ctx["gap"]
         grid = sorted({0.0, gap} | set(np.linspace(0.0, max(2 * gap, 0.1), 9)))
