@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -121,35 +122,63 @@ def write_trace(path: Path, trace, mode: str) -> None:
 def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
     """Load the traces of runs 0..cfg.runs-1; files of other runs are ignored.
 
-    Each file is parsed whole.  The slot column must count 0..T-1, the omega,
-    jstar and m columns must hold ids in range, and the final averages come
-    from the last row.  ``merge_runs`` builds the ensemble.
+    Every file must exist before any is parsed.  Each opens with the lines
+    ``# mode={cfg.mode}`` and ``trace_columns``, and its rows are parsed whole,
+    with no comment lines.  The slot column must count 0..T-1, the omega,
+    jstar and m columns must hold ids in range, every cell must be finite,
+    and the final averages come from the last row.  ``merge_runs`` builds
+    the ensemble.
     """
     out = Path(cfg.out_dir)
-    paths = [trace_path(out, i) for i in range(cfg.runs)]
-    for path in paths:
-        if not path.is_file():
+    for i in range(cfg.runs):  # one path at a time: no list of cfg.runs paths
+        if not (path := trace_path(out, i)).is_file():
             raise FileNotFoundError(
                 f"missing trace {path}: {cfg.runs} runs expected (run `simulate` first)"
             )
     K = cfg.space.cost.n_penalties
     T = cfg.horizon
-    width = len(trace_columns(K))
+    columns = trace_columns(K)
+    width = len(columns)
+    header = (f"# mode={cfg.mode}", ",".join(columns))
     id_ranges = (("omega", cfg.space.states.total), ("jstar", cfg.covering.size),
                  ("m", cfg.space.F))
 
-    def runs():
-        for i, path in enumerate(paths):
-            try:  # a cell that is not a number, or rows of unequal width
-                data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+    def parse(path: Path) -> np.ndarray:
+        with path.open() as f:
+            try:  # undecodable bytes, a cell that is not a number, or rows of unequal width
+                lines = (f.readline(), f.readline())
+                if not lines[0]:
+                    raise DriftlabError(f"{path}: empty file")
+                for name, line, want in zip(("mode", "column"), lines, header):
+                    if (got := line.rstrip("\n")) != want:
+                        raise DriftlabError(
+                            f"{path}: {name} line is {got!r}, expected {want!r}"
+                        )
+                with warnings.catch_warnings():  # no rows is reported below, as an error
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:
                 raise DriftlabError(f"{path}: {exc}") from exc
+        if not data.size:
+            raise DriftlabError(f"{path}: no rows after the header")
+        return data
+
+    def runs():
+        for i in range(cfg.runs):
+            path = trace_path(out, i)
+            data = parse(path)
             if data.shape[0] != T:
                 raise DriftlabError(
                     f"{path}: {data.shape[0]} slots, config horizon is {T}"
                 )
             if data.shape[1] != width:
                 raise DriftlabError(f"{path}: {data.shape[1]} columns, expected {width}")
+            bad = np.argwhere(~np.isfinite(data))
+            if bad.size:
+                slot, col = bad[0]
+                raise DriftlabError(
+                    f"{path}: slot {slot}: {columns[col]} {data[slot, col]:g} is not finite"
+                )
             if not np.array_equal(data[:, 0], np.arange(T)):
                 raise DriftlabError(f"{path}: column t is not 0..{T - 1}")
             for j, (name, size) in enumerate(id_ranges, start=1):
@@ -497,7 +526,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     worst = 0.0
     if K:
         capv = np.arange(1, t + 1)[:, None] * (cost.p_max[1:] - cost.c)
-        worst = math.inf if np.any(ens.q < 0) else float((ens.q - capv).max())
+        # run by run: no (runs, T, K) temporaries
+        worst = max(math.inf if (q < 0).any() else float((q - capv).max()) for q in ens.q)
     rows.append(["queue_growth_violation", "", "", worst, 0.0, cfg.mode, bool(worst <= 1e-9)])
 
     rates = error_rate(ens)

@@ -22,6 +22,7 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 BETA1_MIN_RUNS = 100
 KAPPA_MIN_CELL = 50
+KAPPA_CHUNK_ROWS = 8192  # post-warmup rows per chunk of whole runs in estimate_kappa
 
 
 @dataclass(frozen=True)
@@ -137,21 +138,45 @@ def estimate_kappa(ensemble: EnsembleResult) -> KappaEstimate:
     vectors x and strategy pairs, of the conditional frequencies P(x|m).
 
     Post-warmup slots are pooled across runs; cells with fewer than
-    ``KAPPA_MIN_CELL`` observations are excluded from the sup.
+    ``KAPPA_MIN_CELL`` observations are excluded from the sup.  Runs are
+    counted in chunks of whole runs, about ``KAPPA_CHUNK_ROWS`` post-warmup
+    rows each.  A chunk's rows are ranked (``_row_ids``) together with one
+    row per cost vector seen so far, so ids and counts are those of one pass
+    over the pooled rows, and memory does not grow with runs x T.
     """
     if ensemble.p is None or ensemble.m is None:
         raise EstimationError("ensemble was run without per-run arrays")
     mask = ~ensemble.warmup
-    pooled = int(mask.sum()) * ensemble.run_count
+    per_run = int(mask.sum())
+    pooled = per_run * ensemble.run_count
     if pooled == 0:
         return KappaEstimate(None, "no post-warmup slots", 0, 0, 0, 0)
-    m_flat = ensemble.m[:, mask].ravel()
-    x_rows = ensemble.p[:, mask, :].reshape(pooled, -1)
-    x_flat = _row_ids(x_rows)
-    m_ids, m_inv = np.unique(m_flat, return_inverse=True)
+    width = ensemble.p.shape[2]
+    reps = np.empty((0, width))  # row j: the cost vector with id j
+    keys = np.empty(0, dtype=np.int64)  # m * n_x + id of each cell seen
+    tally = np.empty(0)  # observations per cell of ``keys``
+    n_x = 1
+    step = max(1, KAPPA_CHUNK_ROWS // per_run)
+    for start in range(0, ensemble.run_count, step):
+        runs = slice(start, start + step)
+        rows = np.concatenate([reps, ensemble.p[runs, mask].reshape(-1, width)])
+        ids = _row_ids(rows)
+        m_seen, x_seen = np.divmod(keys, n_x)
+        n_x = int(ids.max()) + 1
+        m_new = ensemble.m[runs, mask].ravel().astype(np.int64)
+        keys, inv = np.unique(
+            np.concatenate([m_seen * n_x + ids[x_seen], m_new * n_x + ids[len(reps) :]]),
+            return_inverse=True,
+        )
+        tally = np.bincount(inv, weights=np.concatenate([tally, np.ones(m_new.size)]))
+        first = np.empty(n_x, dtype=np.int64)
+        first[ids] = np.arange(ids.size)
+        reps = rows[first]
+    m_cells, x_ids = np.divmod(keys, n_x)
+    m_ids, m_inv = np.unique(m_cells, return_inverse=True)
     n_m = m_ids.size
-    n_x = int(x_flat.max()) + 1
-    counts = np.bincount(m_inv * n_x + x_flat, minlength=n_m * n_x).reshape(n_m, n_x)
+    counts = np.zeros((n_m, n_x), dtype=np.int64)
+    counts[m_inv, x_ids] = tally
     if n_m < 2:
         return KappaEstimate(
             None, "fewer than two strategies observed", n_m, pooled, 0, 0

@@ -13,7 +13,8 @@ import numpy as np
 from driftlab.distributions import (
     CoveringSet, FiniteDistribution, ProductStateSpace, inverse_cdf, l1_distance, nearest_member,
 )
-from driftlab.errors import ConfigurationError, DimensionError, DomainError
+from driftlab import estimators
+from driftlab.errors import ConfigurationError, DimensionError, DomainError, EstimationError
 from driftlab.guarantees import MODE_DEFAULT, _check_mode, _phi
 from driftlab.lp import (
     LpInstance, LpSolution, g_of_x, gap_delta, instance_for, lipschitz_probe, solve_lp,
@@ -200,6 +201,42 @@ def interval_error_rate(ensemble: EnsembleResult, alpha: int, t: int) -> float:
         raise DimensionError(f"need t >= alpha, got [{alpha}, {t}]")
     return float(ensemble.errors[:, alpha : t + 1].any(axis=1).mean())
 
+
+
+def pooled_kappa(ensemble: EnsembleResult) -> estimators.KappaEstimate:
+    """``estimate_kappa`` on one pooled ``(runs*T, K+1)`` copy of the
+    post-warmup rows, ranked by one ``_row_ids`` call."""
+    if ensemble.p is None or ensemble.m is None:
+        raise EstimationError("ensemble was run without per-run arrays")
+    min_cell = estimators.KAPPA_MIN_CELL
+    mask = ~ensemble.warmup
+    pooled = int(mask.sum()) * ensemble.run_count
+    if pooled == 0:
+        return estimators.KappaEstimate(None, "no post-warmup slots", 0, 0, 0, 0)
+    m_flat = ensemble.m[:, mask].ravel()
+    x_rows = ensemble.p[:, mask, :].reshape(pooled, -1)
+    x_flat = estimators._row_ids(x_rows)
+    m_ids, m_inv = np.unique(m_flat, return_inverse=True)
+    n_m = m_ids.size
+    n_x = int(x_flat.max()) + 1
+    counts = np.bincount(m_inv * n_x + x_flat, minlength=n_m * n_x).reshape(n_m, n_x)
+    if n_m < 2:
+        return estimators.KappaEstimate(
+            None, "fewer than two strategies observed", n_m, pooled, 0, 0
+        )
+    included = counts >= min_cell
+    cond = counts / counts.sum(axis=1, keepdims=True)
+    usable = included.sum(axis=0) >= 2
+    n_inc = int(included.sum())
+    sizes = (n_m, pooled, n_inc, int((counts > 0).sum()) - n_inc)
+    if not usable.any():
+        return estimators.KappaEstimate(
+            None, f"no cost vector observed >= {min_cell} times under two strategies",
+            *sizes,
+        )
+    hi = np.where(included, cond, 0.0)[:, usable].max(axis=0)
+    lo = np.where(included, cond, np.inf)[:, usable].min(axis=0)
+    return estimators.KappaEstimate(math.log(float((hi / lo).max())), "ok", *sizes)
 
 
 def chord_lipschitz(inst: LpInstance, grid: Sequence[float]) -> tuple[float, np.ndarray]:

@@ -5,6 +5,7 @@ import io
 import json
 import pickle
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -229,10 +230,11 @@ class TestCli:
                    "--horizon", "50"])
         assert rc == 3
 
-    # (column, text) written into slot 2: t, omega, jstar and m are columns 0-3
+    # (column, text) written into slot 2: t, omega, jstar and m are columns 0-3,
+    # p0-p3 columns 4-7 and Q1-Q3 columns 8-10
     CELL_DAMAGE = {"bad_cell": (2, "x"), "bad_omega": (1, "x"), "omega_range": (1, "64"),
                    "negative_jstar": (2, "-1"), "fractional_m": (3, "1.5"),
-                   "slot_column": (0, "7")}
+                   "slot_column": (0, "7"), "inf_p": (4, "inf"), "nan_q": (8, "nan")}
 
     @pytest.mark.parametrize("stage", ["empirics", "compare"])
     @pytest.mark.parametrize("damage, message", [
@@ -244,7 +246,16 @@ class TestCli:
         ("fractional_m", "slot 2: m 1.5 is not an integer in [0, 4096)"),
         ("slot_column", "column t is not 0..59"),
         ("narrow_file", "14 columns, expected 15"),
+        ("inf_p", "slot 2: p0 inf is not finite"),
+        ("nan_q", "slot 2: Q1 nan is not finite"),
+        ("mode_line", "mode line is '# mode=literal', expected '# mode=default'"),
+        ("no_mode_line", "mode line is 't,omega,jstar,m,p0,"),
+        ("column_line", "column line is 't,omega,jstar,m,x0,"),
+        ("comment_row", "the number of columns changed from 15 to 1 at row 4"),
+        ("empty_file", "empty file"),
+        ("header_only", "no rows after the header"),
     ])
+    @pytest.mark.filterwarnings("error")  # numpy's no-data warning must not leak
     def test_malformed_trace_exit_code(self, tmp_path, capsys, stage, damage, message):
         argv = ["--out", str(tmp_path / "o"), "--runs", "2", "--horizon", "60"]
         assert main(["simulate"] + argv) == 0
@@ -254,16 +265,64 @@ class TestCli:
             lines[10] = ",".join(lines[10].split(",")[:5])  # slot 8 loses Q and avg
         elif damage == "narrow_file":
             lines[2:] = [line.rsplit(",", 1)[0] for line in lines[2:]]  # no avg_p3
+        elif damage == "mode_line":
+            lines[0] = "# mode=literal"
+        elif damage == "no_mode_line":
+            del lines[0]
+        elif damage == "column_line":
+            lines[1] = lines[1].replace(",p0,", ",x0,")
+        elif damage == "comment_row":
+            lines.insert(5, "# note")  # between slots 2 and 3
+        elif damage == "empty_file":
+            lines = []
+        elif damage == "header_only":
+            del lines[2:]
         else:
             column, text = self.CELL_DAMAGE[damage]
             cells = lines[4].split(",")  # slot 2
             cells[column] = text
             lines[4] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("".join(line + "\n" for line in lines))
         capsys.readouterr()
         assert main([stage] + argv) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"{path}: ") and message in err and err.count("\n") == 1
+
+    def test_missing_trace_check_lists_no_paths(self, tmp_path):
+        # each path is built and checked in turn: a run count far past the
+        # files on disk fails at run 0 without a path per run in memory
+        cfg = replace(sensor3_config(), runs=200_000, out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileNotFoundError, match="trace_run0000.csv: 200000 runs"):
+                read_traces(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("queues", ["one_negative", "all_zero"])
+    def test_queue_growth_row(self, tmp_path, queues):
+        # a negative queue is an infinite violation; zero queues leave the
+        # margin of slot 0, -(p_max - c), which is below zero
+        argv = ["--out", str(tmp_path / "o"), "--runs", "2", "--horizon", "60"]
+        assert main(["simulate"] + argv) == 0
+        path = tmp_path / "o" / "trace_run0001.csv"
+        lines = path.read_text().splitlines()
+        for slot in [28] if queues == "one_negative" else range(60):
+            cells = lines[2 + slot].split(",")
+            cells[8:11] = ["0", "-0.5", "0"] if queues == "one_negative" else ["0"] * 3
+            lines[2 + slot] = ",".join(cells)
+        path.write_text("".join(line + "\n" for line in lines))
+        if queues == "all_zero":
+            (tmp_path / "o" / "trace_run0000.csv").write_bytes(path.read_bytes())
+        assert main(["compare"] + argv) == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "o" / "compare.csv").read_text().splitlines()[2:]]
+        cost = sensor3_config().space.cost
+        want = (["inf", "0", "default", "false"] if queues == "one_negative" else
+                [fmt(-float((cost.p_max[1:] - cost.c).min())), "0", "default", "true"])
+        assert {r[0]: r for r in rows}["queue_growth_violation"][3:] == want
 
     def test_zero_V_runs_every_stage(self, tmp_path):
         # the bound stack divides by V, so compare leaves the average rows unbounded

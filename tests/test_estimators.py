@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftlab import EstimationError
+from _helpers import sensor3_config
+from driftlab import EstimationError, estimators
 from driftlab.estimators import (
     error_rate,
     estimate_beta1,
@@ -14,9 +18,9 @@ from driftlab.estimators import (
     gap_report,
     _row_ids,
 )
-from driftlab.simulate import EnsembleResult
+from driftlab.simulate import EnsembleResult, run_ensemble
 from driftlab.strategies import CostModel
-from oracles import interval_error_rate
+from oracles import interval_error_rate, pooled_kappa
 
 
 def synthetic_ensemble(p, jstar=None, m=None, istar=0, warmup_slots=0):
@@ -104,6 +108,39 @@ class TestKappa:
     def test_row_ids_equal_unique_rows(self, rows):
         want = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
         assert np.array_equal(_row_ids(rows), want)
+
+    @given(st.data(), st.integers(1, 12), st.integers(1, 30), st.integers(1, 3),
+           st.integers(1, 40), st.sampled_from([1, 5, 50]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_chunked_counts_equal_pooled_oracle(self, data, n, T, width, chunk_rows,
+                                                min_cell):
+        """Chunks of whole runs give the pooled estimate field for field:
+        repeated rows, -0.0 beside 0.0, NaN cells and any warmup prefix."""
+        values = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, np.nan]),
+                                    min_size=1, max_size=4, unique_by=repr))
+        p = data.draw(arrays(np.float64, (n, T, width), elements=st.sampled_from(values)))
+        m = data.draw(arrays(np.int32, (n, T), elements=st.integers(0, 3), fill=st.nothing()))
+        ens = synthetic_ensemble(p, m=m, warmup_slots=data.draw(st.integers(0, T)))
+        with mock.patch.object(estimators, "KAPPA_CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(estimators, "KAPPA_MIN_CELL", min_cell):
+            assert estimate_kappa(ens) == pooled_kappa(ens)
+
+    def test_memory_does_not_grow_with_runs(self):
+        """No pooled copy: the traced peak on sensor3 ensembles of 5000 slots
+        stays under 1.5 MiB and does not grow from 20 runs to 80."""
+        ens = run_ensemble(sensor3_config(), 80)
+        peaks = []
+        for n in (20, 80):
+            sub = replace(ens, run_count=n, p=ens.p[:n], m=ens.m[:n])
+            tracemalloc.start()
+            try:
+                est = estimate_kappa(sub)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert est == pooled_kappa(sub)
+        assert peaks[0] < 1.5 * 2**20
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_single_strategy_undefined(self):
         p = np.zeros((50, 20, 2))
