@@ -8,6 +8,7 @@ byte-identical across reruns of the same config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -43,7 +44,7 @@ from .guarantees import (
     theta,
     threshold_check,
 )
-from .lp import gap_delta, instance_for, lipschitz_probe, solve_lp
+from .lp import SOLUTION_TOL, gap_delta, instance_for, lipschitz_probe, solve_lp
 from .simulate import EnsembleResult, RunTrace, merge_runs, run_ensemble
 
 THETA_EPS = 1e-12
@@ -124,7 +125,8 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
 
     Every file must exist before any is parsed.  Each opens with the lines
     ``# mode={cfg.mode}`` and ``trace_columns``, and its rows are parsed whole,
-    with no comment lines.  The slot column must count 0..T-1, the omega,
+    with no comment lines; a row that does not parse is named by file line
+    and slot.  The slot column must count 0..T-1, the omega,
     jstar and m columns must hold ids in range, every cell must be finite,
     and the final averages come from the last row.  ``merge_runs`` builds
     the ensemble.
@@ -143,6 +145,25 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
     id_ranges = (("omega", cfg.space.states.total), ("jstar", cfg.covering.size),
                  ("m", cfg.space.F))
 
+    def row_fault(path: Path) -> str | None:
+        """The first data row that is not ``width`` numbers, named by file line
+        and slot; None when there is none (undecodable bytes, or a cell that
+        float() takes and numpy does not)."""
+        with contextlib.suppress(UnicodeDecodeError), path.open() as f:
+            f.readline(), f.readline()  # the header lines
+            rows = ((n, line) for n, line in enumerate(f, start=3) if line != "\n")
+            for slot, (line_no, line) in enumerate(rows):  # np.loadtxt skips empty lines
+                where = f"line {line_no}: slot {slot}"
+                cells = line.rstrip("\n").split(",")
+                if len(cells) != width:
+                    return f"{where}: expected {width} cells, got {len(cells)}"
+                for name, cell in zip(columns, cells):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        return f"{where}: {name} {cell!r} is not a number"
+        return None
+
     def parse(path: Path) -> np.ndarray:
         with path.open() as f:
             try:  # undecodable bytes, a cell that is not a number, or rows of unequal width
@@ -158,7 +179,7 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                     data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:
-                raise DriftlabError(f"{path}: {exc}") from exc
+                raise DriftlabError(f"{path}: {row_fault(path) or exc}") from exc
         if not data.size:
             raise DriftlabError(f"{path}: no rows after the header")
         return data
@@ -215,11 +236,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 def cmd_lp(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    inst = instance_for(cfg.space, cfg.schedule.limit)
-    sol = solve_lp(inst)
+    sol = solve_lp(instance_for(cfg.space, cfg.schedule.limit))
     rows = [["status", "", sol.status], ["value", "", sol.value]]
     if sol.status == "optimal":
-        slack = inst.c - inst.r[1:] @ sol.theta
+        # a slack within the solver's tolerance is rounding residue: print it as 0
+        slack = np.where(np.abs(sol.slack) <= SOLUTION_TOL, 0.0, sol.slack)
         rows += [["slack", k + 1, slack[k]] for k in range(slack.size)]
         rows += [
             ["theta", m, sol.theta[m]]

@@ -59,50 +59,40 @@ class LpSolution:
     value: float
     status: str  # optimal | infeasible | unbounded-guard
     reduced_costs: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.status == "optimal":
-            th = np.asarray(self.theta, dtype=np.float64)
-            if th.min() < -SOLUTION_TOL:
-                raise RuntimeError(f"solver returned theta_min={th.min()!r}")
-            # pivots can leave a zero weight at -1e-17: clear it
-            th = np.maximum(th, 0.0)
-            object.__setattr__(self, "theta", th)
-            if abs(th.sum() - 1.0) > SOLUTION_TOL:
-                raise RuntimeError(f"solver returned sum(theta)={th.sum()!r}")
+    slack: np.ndarray | None = field(default=None, repr=False)  # c + x - r[1:] theta
 
 
-def instance_for(space: StrategySpace, member: FiniteDistribution, x: float = 0.0) -> LpInstance:
+def instance_for(space: StrategySpace, member: FiniteDistribution) -> LpInstance:
     """Build the mixture LP under a candidate state distribution."""
-    return LpInstance(r=space.r_table(member), c=space.cost.c, x=x)
+    return LpInstance(r=space.r_table(member), c=space.cost.c)
 
 
 def solve_lp(inst: LpInstance) -> LpSolution:
     """Optimal basic solution via the two-phase Bland simplex; deterministic."""
     res = simplex.solve(
         c=inst.r[0],
-        A_ub=inst.r[1:] if inst.n_constraints else None,
-        b_ub=inst.c + inst.x if inst.n_constraints else None,
+        A_ub=inst.r[1:],
+        b_ub=inst.c + inst.x,
         A_eq=np.ones((1, inst.n_strategies)),
         b_eq=np.ones(1),
     )
     if res.status == "infeasible":
         return LpSolution(None, float("inf"), "infeasible")
-    if res.status == "unbounded":  # cannot occur on the simplex, guarded anyway
+    if res.status == "unbounded":  # the ratio test skips entries <= PIVOT_EPS
         return LpSolution(None, float("-inf"), "unbounded-guard")
-    sol = LpSolution(res.x, res.value, "optimal", res.reduced_costs)
-    slack = inst.c + inst.x - inst.r[1:] @ res.x if inst.n_constraints else np.zeros(0)
-    if inst.n_constraints and slack.min() < -SOLUTION_TOL:
+    if res.x.min() < -SOLUTION_TOL:
+        raise RuntimeError(f"solver returned theta_min={res.x.min()!r}")
+    theta = np.maximum(res.x, 0.0)  # pivots can leave a zero weight at -1e-17: clear it
+    if abs(theta.sum() - 1.0) > SOLUTION_TOL:
+        raise RuntimeError(f"solver returned sum(theta)={theta.sum()!r}")
+    slack = inst.c + inst.x - inst.r[1:] @ theta
+    if (slack < -SOLUTION_TOL).any():
         raise RuntimeError(f"solver violated a constraint by {-slack.min()!r}")
-    if abs(res.value - float(inst.r[0] @ res.x)) > SOLUTION_TOL * max(1.0, abs(res.value)):
-        raise RuntimeError("solver objective mismatch")
-    return sol
+    return LpSolution(theta, res.value, "optimal", res.reduced_costs, slack)
 
 
 def g_of_x(inst: LpInstance, x: float) -> float:
     """Optimal value with constraint levels c_k + x; +inf when infeasible."""
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
     return solve_lp(inst.perturbed(x)).value
 
 

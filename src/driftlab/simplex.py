@@ -60,17 +60,17 @@ def _bland_iterate(T: np.ndarray, basis: list[int], ncols: int) -> str:
 
 def solve(
     c: np.ndarray,
-    A_ub: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    A_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
+    A_ub: np.ndarray,
+    b_ub: np.ndarray,
+    A_eq: np.ndarray,
+    b_eq: np.ndarray,
 ) -> SimplexResult:
     c = np.asarray(c, dtype=np.float64).ravel()
     n = c.size
-    A_ub = np.zeros((0, n)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, float))
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, float).ravel()
-    A_eq = np.zeros((0, n)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, float))
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, float).ravel()
+    A_ub = np.atleast_2d(np.asarray(A_ub, float))
+    b_ub = np.asarray(b_ub, float).ravel()
+    A_eq = np.atleast_2d(np.asarray(A_eq, float))
+    b_eq = np.asarray(b_eq, float).ravel()
     m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
     m = m_ub + m_eq
 

@@ -238,9 +238,9 @@ class TestCli:
 
     @pytest.mark.parametrize("stage", ["empirics", "compare"])
     @pytest.mark.parametrize("damage, message", [
-        ("bad_cell", "could not convert string 'x' to float64"),
-        ("short_row", "changed from 15 to 5"),
-        ("bad_omega", "could not convert string 'x' to float64 at row 2, column 2"),
+        ("bad_cell", "line 5: slot 2: jstar 'x' is not a number"),
+        ("short_row", "line 11: slot 8: expected 15 cells, got 5"),
+        ("bad_omega", "line 5: slot 2: omega 'x' is not a number"),
         ("omega_range", "slot 2: omega 64 is not an integer in [0, 64)"),
         ("negative_jstar", "slot 2: jstar -1 is not an integer in [0, 8)"),
         ("fractional_m", "slot 2: m 1.5 is not an integer in [0, 4096)"),
@@ -251,7 +251,9 @@ class TestCli:
         ("mode_line", "mode line is '# mode=literal', expected '# mode=default'"),
         ("no_mode_line", "mode line is 't,omega,jstar,m,p0,"),
         ("column_line", "column line is 't,omega,jstar,m,x0,"),
-        ("comment_row", "the number of columns changed from 15 to 1 at row 4"),
+        ("comment_row", "line 6: slot 3: expected 15 cells, got 1"),
+        ("empty_line", "line 12: slot 8: expected 15 cells, got 5"),
+        ("bad_bytes", "codec can't decode byte 0xff"),  # no row to name: numpy's words
         ("empty_file", "empty file"),
         ("header_only", "no rows after the header"),
     ])
@@ -273,6 +275,11 @@ class TestCli:
             lines[1] = lines[1].replace(",p0,", ",x0,")
         elif damage == "comment_row":
             lines.insert(5, "# note")  # between slots 2 and 3
+        elif damage == "empty_line":
+            lines.insert(3, "")  # np.loadtxt skips it: the slots keep their numbers
+            lines[11] = ",".join(lines[11].split(",")[:5])  # slot 8, now on line 12
+        elif damage == "bad_bytes":
+            lines[4] = "\udcff" + lines[4][1:]  # slot 2's t cell becomes byte 0xff
         elif damage == "empty_file":
             lines = []
         elif damage == "header_only":
@@ -282,7 +289,8 @@ class TestCli:
             cells = lines[4].split(",")  # slot 2
             cells[column] = text
             lines[4] = ",".join(cells)
-        path.write_text("".join(line + "\n" for line in lines))
+        text = "".join(line + "\n" for line in lines)
+        path.write_bytes(text.encode(errors="surrogateescape"))
         capsys.readouterr()
         assert main([stage] + argv) == 4
         err = capsys.readouterr().err
@@ -552,6 +560,31 @@ class TestCli:
             rows = [list(map(repr, row)) for row in cli.bound_rows(one, ctx)]
             assert rows == [row for row in full if row[2:4] == [repr(D), repr(w)]]
         assert not ctx["prefix"].flags.writeable
+
+    def test_lp_slack_rows(self, tmp_path):
+        # sensor3's binding slacks are rounding residue and print as 0; levels
+        # 1e-8 above the unconstrained optimum's costs leave slack to print
+        out = tmp_path / "o"
+        assert main(["lp", "--out", str(out)]) == 0
+        rows = (out / "lp.csv").read_text().splitlines()
+        assert [r for r in rows if r.startswith("slack,")] == [
+            "slack,1,0", "slack,2,0", "slack,3,0"]
+        doc = dump_preset()
+        cfg = config_from_dict(doc)
+        r = cfg.space.r_table(cfg.schedule.limit)
+        doc["cost"]["constraints"] = (r[1:, r[0].argmin()] + 1e-8).tolist()
+        assert main(["lp", "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]) == 0
+        slack = [float(r.split(",")[2]) for r in (out / "lp.csv").read_text().splitlines()
+                 if r.startswith("slack,")]
+        assert slack == pytest.approx([1e-8] * 3, rel=1e-6)
+
+    def test_lp_without_constraints(self, tmp_path):
+        doc = dump_preset()
+        doc["cost"] = {"tables": doc["cost"]["tables"][:1], "constraints": []}
+        out = tmp_path / "o"
+        assert main(["lp", "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]) == 0
+        kinds = [r.split(",")[0] for r in (out / "lp.csv").read_text().splitlines()[2:]]
+        assert kinds[:2] == ["status", "value"] and set(kinds[2:]) == {"theta"}
 
     def test_lp_infeasible_exit_code(self, tmp_path, capsys):
         doc = dump_preset()

@@ -11,10 +11,15 @@ The CSV pins hold the writer to its bytes, ``-0`` cells included.
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftlab
 from _helpers import sensor3_covering_and_schedule, sensor3_space
 from driftlab import simulate
 from driftlab.cli import main
@@ -141,7 +146,7 @@ OUTPUT_DIR_GOLDEN = {  # sensor3, --runs 4 --horizon 400 --seed 5
     "error_rates.csv":
         "d468e68afbea12db78bd6194766cc91dd73f006c374f1580a969ef78543015e7",
     "lp.csv":
-        "b1cb4c3ca16606e8c1de60bf0f0efe3ec9591a0d7457fcc248f730d0f8b9c79c",
+        "00f83d8e83151c61cce0fb0ff7996ec6aeb3d2877ba108d2d039a53e7e72443a",
     "trace_run0000.csv":
         "5968df6c5d2489100d77139ce7cc9d347803705b070f1ecbae89ccbf92aa44cf",
     "trace_run0001.csv":
@@ -153,10 +158,38 @@ OUTPUT_DIR_GOLDEN = {  # sensor3, --runs 4 --horizon 400 --seed 5
 }
 
 
-def test_output_dir_digest(tmp_path):
-    out = tmp_path / "out"
+def run_stages(out) -> None:
     for stage in ("simulate", "lp", "bounds", "empirics", "compare"):
         assert main([stage, "--out", str(out), "--runs", "4", "--horizon", "400",
                      "--seed", "5"]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == OUTPUT_DIR_GOLDEN
+
+
+def output_dir_digests(out: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+def test_output_dir_digest(tmp_path):
+    run_stages(tmp_path / "out")
+    assert output_dir_digests(tmp_path / "out") == OUTPUT_DIR_GOLDEN
+
+
+def _openblas() -> bool:
+    return "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"].lower()
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or not _openblas(),
+                    reason="OPENBLAS_CORETYPE names x86_64 OpenBLAS kernels")
+@pytest.mark.parametrize("kernel", ["Sandybridge", "Prescott"])
+def test_output_dir_digest_under_blas_kernel(kernel, tmp_path):
+    # the same stages in a child process whose OpenBLAS runs another CPU kernel:
+    # dot products may round differently, and no output byte may follow them
+    path = [str(Path(driftlab.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join(filter(None, [*path, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, test_golden; test_golden.run_stages(sys.argv[1])",
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert output_dir_digests(tmp_path / "out") == OUTPUT_DIR_GOLDEN

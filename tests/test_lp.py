@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import driftlab.lp
-from _helpers import sensor_limit, sensor_tables, uniform
+from _helpers import same_bits, sensor_limit, sensor_tables, uniform
 from driftlab import CoveringSet, DomainError, FiniteDistribution, cli, simplex
 from driftlab.config import config_from_dict
 from driftlab.lp import (
@@ -126,6 +126,10 @@ class TestGofX:
         for x, v in zip(grid, vals):
             assert g_of_x(inst_p, float(x)) == pytest.approx(v, abs=1e-9)
 
+    def test_negative_x_refused(self, sensor_instance):
+        with pytest.raises(DomainError, match="got -0.1"):
+            g_of_x(sensor_instance, -0.1)
+
     def test_infeasible_sentinel(self):
         inst = LpInstance(r=np.array([[0.0], [2.0]]), c=np.array([0.0]))
         assert g_of_x(inst, 0.5) == math.inf
@@ -171,7 +175,9 @@ class TestLipschitzProbe:
         c_hat, g0 = lipschitz_probe(inst)
         chord, _ = chord_lipschitz(inst, np.linspace(0.0, 1.0, 9))
         assert chord <= c_hat + 1e-9
-        assert g0 == solve_lp(inst).value
+        sol = solve_lp(inst)
+        assert g0 == sol.value
+        assert same_bits(sol.slack, inst.c + inst.x - inst.r[1:] @ sol.theta)
 
 
 class TestBoundContext:
