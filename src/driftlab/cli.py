@@ -125,8 +125,8 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
 
     Every file must exist before any is parsed.  Each opens with the lines
     ``# mode={cfg.mode}`` and ``trace_columns``, and its rows are parsed whole,
-    with no comment lines; a row that does not parse is named by file line
-    and slot.  The slot column must count 0..T-1, the omega,
+    with no comment or empty lines; a row that does not parse is named by
+    file line and slot.  The slot column must count 0..T-1, the omega,
     jstar and m columns must hold ids in range, every cell must be finite,
     and the final averages come from the last row.  ``merge_runs`` builds
     the ensemble.
@@ -146,14 +146,15 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
                  ("m", cfg.space.F))
 
     def row_fault(path: Path) -> str | None:
-        """The first data row that is not ``width`` numbers, named by file line
-        and slot; None when there is none (undecodable bytes, or a cell that
-        float() takes and numpy does not)."""
+        """The first data row that is empty or not ``width`` numbers, named by
+        file line and slot; None when there is none (undecodable bytes, or a
+        cell that float() takes and numpy does not)."""
         with contextlib.suppress(UnicodeDecodeError), path.open() as f:
             f.readline(), f.readline()  # the header lines
-            rows = ((n, line) for n, line in enumerate(f, start=3) if line != "\n")
-            for slot, (line_no, line) in enumerate(rows):  # np.loadtxt skips empty lines
-                where = f"line {line_no}: slot {slot}"
+            for slot, line in enumerate(f):
+                where = f"line {slot + 3}: slot {slot}"
+                if line == "\n":
+                    return f"{where}: empty line"
                 cells = line.rstrip("\n").split(",")
                 if len(cells) != width:
                     return f"{where}: expected {width} cells, got {len(cells)}"
@@ -163,6 +164,14 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
                     except ValueError:
                         return f"{where}: {name} {cell!r} is not a number"
         return None
+
+    def data_lines(path: Path, f):
+        """The rows of ``f`` as ``np.loadtxt`` reads them, each checked as it
+        is read for the empty line that ``np.loadtxt`` would skip."""
+        for line in f:
+            if line == "\n":
+                raise DriftlabError(f"{path}: {row_fault(path)}")
+            yield line
 
     def parse(path: Path) -> np.ndarray:
         with path.open() as f:
@@ -177,7 +186,8 @@ def read_traces(cfg: ExperimentConfig) -> EnsembleResult:
                         )
                 with warnings.catch_warnings():  # no rows is reported below, as an error
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+                    data = np.loadtxt(data_lines(path, f), delimiter=",", comments=None,
+                                      ndmin=2)
             except ValueError as exc:
                 raise DriftlabError(f"{path}: {row_fault(path) or exc}") from exc
         if not data.size:

@@ -19,6 +19,10 @@ from .errors import ConfigurationError, DimensionError, DomainError
 
 PROB_SUM_TOL = 1e-12
 
+# Slots a chunked pass over a (T, |Ω|) schedule matrix takes together: its
+# temporaries are SLOT_CHUNK x |Ω| floats.
+SLOT_CHUNK = 512
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -218,7 +222,8 @@ class Schedule:
     limit: FiniteDistribution
 
     def weights_matrix(self, horizon: int) -> np.ndarray:
-        """(T, |Ω|) matrix of per-slot probability rows."""
+        """(T, |Ω|) matrix of per-slot probability rows, a new array that
+        the caller may overwrite."""
         raise NotImplementedError
 
 
@@ -238,7 +243,10 @@ class GeometricSchedule(Schedule):
 
     def weights_matrix(self, horizon: int) -> np.ndarray:
         r = self.rho ** np.arange(horizon)[:, None]
-        return (1.0 - r) * self.limit.probs[None, :] + r * self.start.probs[None, :]
+        out = (1.0 - r) * self.limit.probs[None, :]
+        for lo in range(0, horizon, SLOT_CHUNK):
+            out[lo : lo + SLOT_CHUNK] += r[lo : lo + SLOT_CHUNK] * self.start.probs[None, :]
+        return out
 
 
 @dataclass(frozen=True)

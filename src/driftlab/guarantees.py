@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CoveringSet, Schedule
+from .distributions import SLOT_CHUNK, CoveringSet, Schedule
 from .errors import ConfigurationError, DimensionError, DomainError
 from .strategies import StrategySpace
 
@@ -128,7 +128,10 @@ def nonstationarity_series(schedule: Schedule, space: StrategySpace, weights: np
     """Per-slot (drift, b_series) over the rows of ``weights``, the
     schedule's ``weights_matrix``: each slot's L1 distance from the limit
     distribution, and its B term."""
-    drift = np.abs(weights - schedule.limit.probs[None, :]).sum(axis=1)
+    drift = np.empty(weights.shape[0])
+    for lo in range(0, drift.size, SLOT_CHUNK):
+        gap = weights[lo : lo + SLOT_CHUNK] - schedule.limit.probs[None, :]
+        drift[lo : lo + SLOT_CHUNK] = np.abs(gap, out=gap).sum(axis=1)
     return drift, space.b_series(weights)
 
 

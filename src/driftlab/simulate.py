@@ -138,8 +138,9 @@ class SimConfig:
 
     @cached_property
     def cdf(self) -> np.ndarray:
-        """(T, |Ω|) per-slot state CDFs of the schedule."""
-        return np.cumsum(self.schedule.weights_matrix(self.horizon), axis=1)
+        """(T, |Ω|) per-slot state CDFs of the schedule, summed in place."""
+        weights = self.schedule.weights_matrix(self.horizon)
+        return np.cumsum(weights, axis=1, out=weights)
 
     @cached_property
     def candidates(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

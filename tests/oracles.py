@@ -141,6 +141,21 @@ def realized_cube(space: StrategySpace) -> np.ndarray:
     return space.cost.tables[:, actions_of(space), np.arange(space.states.total)]
 
 
+def whole_cover_rows(table: np.ndarray) -> np.ndarray:
+    """``cover_rows``' max-sum sweep over a stored table, every row at once."""
+    sums = table.sum(axis=1)
+    alive = np.arange(table.shape[0])
+    kept = []
+    while alive.size:
+        top = alive[np.argmax(sums[alive])]
+        dropped = (table[alive] <= table[top]).all(axis=1)
+        if dropped.sum() == 1:
+            break
+        kept.append(top)
+        alive = alive[~dropped]
+    return np.sort(np.concatenate([np.array(kept, dtype=alive.dtype), alive]))
+
+
 def r_vector(space: StrategySpace, m: int, lam: FiniteDistribution) -> np.ndarray:
     """Average cost/penalty vector of strategy m under distribution lam."""
     space._check_dist(lam)

@@ -252,8 +252,9 @@ class TestCli:
         ("no_mode_line", "mode line is 't,omega,jstar,m,p0,"),
         ("column_line", "column line is 't,omega,jstar,m,x0,"),
         ("comment_row", "line 6: slot 3: expected 15 cells, got 1"),
-        ("empty_line", "line 12: slot 8: expected 15 cells, got 5"),
-        ("bad_bytes", "codec can't decode byte 0xff"),  # no row to name: numpy's words
+        ("empty_line", "line 4: slot 1: empty line"),
+        ("trailing_empty_line", "line 63: slot 60: empty line"),
+        ("bad_bytes", "codec can't decode byte 0xff"),  # no row to name: the codec's words
         ("empty_file", "empty file"),
         ("header_only", "no rows after the header"),
     ])
@@ -276,8 +277,9 @@ class TestCli:
         elif damage == "comment_row":
             lines.insert(5, "# note")  # between slots 2 and 3
         elif damage == "empty_line":
-            lines.insert(3, "")  # np.loadtxt skips it: the slots keep their numbers
-            lines[11] = ",".join(lines[11].split(",")[:5])  # slot 8, now on line 12
+            lines.insert(3, "")  # between slots 0 and 1, which np.loadtxt would skip
+        elif damage == "trailing_empty_line":
+            lines.append("")  # after slot 59, the last
         elif damage == "bad_bytes":
             lines[4] = "\udcff" + lines[4][1:]  # slot 2's t cell becomes byte 0xff
         elif damage == "empty_file":

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import driftlab
-from _helpers import sensor3_covering_and_schedule, sensor3_space
+from _helpers import same_bits, sensor3_covering_and_schedule, sensor3_space
 from driftlab import simulate
 from driftlab.cli import main
 from driftlab.distributions import PiecewiseSchedule
@@ -168,6 +168,22 @@ def output_dir_digests(out: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
 
+def kernel_child(out) -> None:
+    """The checks of a child process under another BLAS kernel: ``r_table``
+    of every sensor3 member equals the whole-row gemv bit for bit, the five
+    stages write into ``out``, and the stream digests of ``test_stream_digest``
+    go to stdout as JSON."""
+    space = sensor3_space()
+    members = sensor3_covering_and_schedule()[0].members
+    for member, batch in zip(members, space.r_table(members)):
+        whole = np.stack([t.ravel()[space.cell_of] @ member.probs for t in space.cost.tables])
+        assert same_bits(space.r_table(member), whole) and same_bits(batch, whole)
+    run_stages(out)
+    os.sched_getaffinity = lambda pid: {0}
+    simulate.PASS_ROWS = BLOCK_CROSSING_PASS_ROWS
+    print(json.dumps({name: stream_digest(cfg, n) for name, (cfg, n) in _cases().items()}))
+
+
 def test_output_dir_digest(tmp_path):
     run_stages(tmp_path / "out")
     assert output_dir_digests(tmp_path / "out") == OUTPUT_DIR_GOLDEN
@@ -181,15 +197,17 @@ def _openblas() -> bool:
                     reason="OPENBLAS_CORETYPE names x86_64 OpenBLAS kernels")
 @pytest.mark.parametrize("kernel", ["Sandybridge", "Prescott"])
 def test_output_dir_digest_under_blas_kernel(kernel, tmp_path):
-    # the same stages in a child process whose OpenBLAS runs another CPU kernel:
-    # dot products may round differently, and no output byte may follow them
+    # the same stages and streams in a child process whose OpenBLAS runs another
+    # CPU kernel: dot products may round differently, and no output byte or
+    # stream may follow them
     path = [str(Path(driftlab.__file__).parents[1]), str(Path(__file__).parent)]
     env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
            "PYTHONPATH": os.pathsep.join(filter(None, [*path, os.environ.get("PYTHONPATH")]))}
     child = subprocess.run(
-        [sys.executable, "-c", "import sys, test_golden; test_golden.run_stages(sys.argv[1])",
+        [sys.executable, "-c", "import sys, test_golden; test_golden.kernel_child(sys.argv[1])",
          str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
     assert output_dir_digests(tmp_path / "out") == OUTPUT_DIR_GOLDEN
+    assert json.loads(child.stdout.splitlines()[-1]) == GOLDEN

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 import reference_bounds as ref
 from _helpers import (
-    divergence_series, sensor3_covering_and_schedule, sensor3_space, sensor_limit, stationary,
+    divergence_series, same_bits, sensor3_covering_and_schedule, sensor3_space, sensor_limit,
+    stationary,
 )
+from driftlab import distributions, guarantees
 from driftlab import (
     ConfigurationError,
     DomainError,
@@ -218,6 +221,20 @@ class TestDivergenceSeries:
 
 
 class TestJbarHt:
+    @pytest.mark.parametrize("chunk", [1, 7, 16])
+    def test_slot_chunks_keep_the_whole_matrix_bits(self, chunk):
+        space = sensor3_space()
+        cov, _ = sensor3_covering_and_schedule()
+        sch = GeometricSchedule(limit=cov.members[0], start=cov.members[1], rho=0.9)
+        r = sch.rho ** np.arange(40)[:, None]
+        whole = (1.0 - r) * sch.limit.probs[None, :] + r * sch.start.probs[None, :]
+        with mock.patch.object(distributions, "SLOT_CHUNK", chunk), \
+                mock.patch.object(guarantees, "SLOT_CHUNK", chunk):
+            weights = sch.weights_matrix(40)
+            drift, _ = nonstationarity_series(sch, space, weights)
+        assert same_bits(weights, whole)
+        assert same_bits(drift, np.abs(whole - sch.limit.probs[None, :]).sum(axis=1))
+
     def test_stationary_schedule(self):
         space = sensor3_space()
         sch = stationary(sensor_limit())

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ from _helpers import (
     uniform,
 )
 from driftlab import ConfigurationError, CoveringSet, DimensionError, DomainError, FiniteDistribution
-from driftlab import simulate
+from driftlab import simulate, strategies
 from driftlab.config import config_from_dict
 from driftlab.distributions import ProductStateSpace
+from driftlab.guarantees import nonstationarity_series
 from driftlab.simulate import SimConfig
 from driftlab.strategies import ActionModel, CostModel, StrategySpace, cover_rows
 from oracles import (
     PureStrategy, actions_of, apply_strategy, b_value, decode_strategy, encode_strategy,
-    r_vector, realized_cube, strategy_count,
+    r_vector, realized_cube, strategy_count, whole_cover_rows,
 )
 
 
@@ -233,6 +235,50 @@ class TestRVector:
             assert same_bits(tr.p, cube[:, tr.m, tr.omega].T)
 
 
+@st.composite
+def chunked_spaces(draw):
+    """Spaces whose F is not a multiple of 4 and spans several 16-48 row
+    chunks, K in 0..3 penalties with tied and untied costs, and three
+    distributions with zero-mass outcomes."""
+    actions, states = draw(st.sampled_from([
+        ((3,), (4,)), ((7,), (2,)), ((3, 2), (3, 1)), ((3, 3), (2, 2)), ((5,), (3,)),
+    ]))
+    actions, states = ActionModel(actions), ProductStateSpace(states)
+    K = draw(st.integers(0, 3))
+    cells = st.integers(0, 12).map(lambda v: v / 7)
+    tables = draw(arrays(np.float64, (K + 1, actions.total, states.total), elements=cells))
+    c = draw(arrays(np.float64, (K,), elements=cells))
+    raw = draw(arrays(np.float64, (3, states.total), elements=st.integers(0, 9).map(float)))
+    raw[:, 0] += 1
+    space = StrategySpace(actions, states, CostModel(tables=tables, c=c))
+    assert space.F % 4 and space.F > 48
+    return space, raw / raw.sum(axis=1, keepdims=True)
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("chunk", [16, 32, 48])
+    @given(case=chunked_spaces())
+    @settings(max_examples=60, deadline=None)
+    def test_chunks_equal_a_stored_cube(self, chunk, case):
+        """Gathered ``chunk`` strategies at a time, ``r_table``,
+        ``curvature_rows`` and ``b_series`` keep the bits of the same
+        operations on a stored cube, one whole-row product each."""
+        space, weights = case
+        lams = [FiniteDistribution(w) for w in weights]
+        cube = np.ascontiguousarray(realized_cube(space))
+        diff = cube[1:] - space.cost.c[:, None, None]
+        sq = np.einsum("kfs,kfs->fs", diff, diff)
+        ids = whole_cover_rows(sq)
+        with mock.patch.object(strategies, "ROW_CHUNK", chunk):
+            tables = space.r_table(lams)
+            for lam, table in zip(lams, tables):
+                assert same_bits(space.r_table(lam), cube @ lam.probs)
+                assert same_bits(table, cube @ lam.probs)
+            got_ids, rows = space.curvature_rows
+            assert same_bits(got_ids, ids) and same_bits(rows, sq[ids])
+            assert same_bits(space.b_series(weights), 0.5 * (sq[ids] @ weights.T).max(axis=0))
+
+
 class TestBt:
     def test_no_penalties(self):
         actions = ActionModel((2,))
@@ -350,10 +396,53 @@ class TestCurvatureRows:
         )
 
 
+def traced_excess(fn):
+    """``fn()`` and its traced peak above what it leaves held."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
+
+
 class TestMemory:
-    """Realized costs are looked up through the (strategy, state) index, one
-    cost row at a time: a stored (K+1, F, |Omega|) cube, 8 MiB on sensor3,
-    would fail both bounds."""
+    """Realized costs are looked up through the (strategy, state) index, a
+    chunk of cost rows at a time: a stored (K+1, F, |Omega|) cube, 8 MiB on
+    sensor3, would fail every bound here, and so would a whole (F, |Omega|)
+    row (2 MiB) or a second (T, |Omega|) schedule matrix (2.4 MiB)."""
+
+    def test_sensor3_config_holds_one_int32_index(self):
+        config_from_dict({"preset": "sensor3"})  # fill the preset and import caches
+        tracemalloc.start()
+        try:
+            cfg = config_from_dict({"preset": "sensor3"})
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert cfg.space.cell_of.dtype == np.int32
+        assert held < 1.5 * 2**20  # cell_of is 1 MiB
+
+    def test_row_chunks_peak_under_one_mib(self):
+        cfg = config_from_dict({"preset": "sensor3"})
+        tables, excess = traced_excess(lambda: cfg.space.r_table(cfg.covering.members))
+        assert tables.shape == (8, 4, 4096) and excess < 2**20
+        _, excess = traced_excess(lambda: cfg.space.curvature_rows)
+        assert excess < 2**20
+
+    def test_one_schedule_matrix(self):
+        cfg = config_from_dict({"preset": "sensor3"})
+        cfg.space.curvature_rows
+        cdf, excess = traced_excess(lambda: cfg.cdf)
+        assert cdf.shape == (5000, 64) and excess < 2**20
+
+        def series():
+            weights = cfg.schedule.weights_matrix(cfg.horizon)
+            return weights, nonstationarity_series(cfg.schedule, cfg.space, weights)
+
+        _, excess = traced_excess(series)
+        assert excess < 2**20
 
     def test_sensor3_config_and_curvature_rows_stay_small(self):
         tracemalloc.start()
